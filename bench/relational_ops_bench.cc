@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "relational/operators.h"
 #include "relational/partial_delta.h"
+#include "relational/view_def.h"
 #include "workload/schema_gen.h"
 
 namespace sweepmv {
@@ -112,6 +113,102 @@ void BM_MergeDelta(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_MergeDelta)->Arg(4096)->Arg(65536);
+
+// The install path of the sharded ingest workload: arity-9 full-span
+// rows over a 3-relation chain with the identity projection.
+ViewDef WideChainView() {
+  ChainSpec spec;
+  spec.num_relations = 3;
+  return MakeChainView(spec);
+}
+
+Relation RandomWideRelation(const ViewDef& view, int64_t rows,
+                            uint64_t seed) {
+  Rng rng(seed);
+  Relation r(view.joined_schema());
+  for (int64_t i = 0; i < rows; ++i) {
+    std::vector<Value> values;
+    values.emplace_back(i);
+    for (size_t c = 1; c < view.joined_schema().arity(); ++c) {
+      values.emplace_back(rng.Uniform(0, 63));
+    }
+    r.Add(Tuple(values), 1);
+  }
+  return r;
+}
+
+// A signed delta against `view`: half deletes of present rows, half
+// inserts of new ones.
+Relation SignedDelta(const ViewDef& view_def, const Relation& view,
+                     int64_t rows, uint64_t seed) {
+  Relation delta(view_def.joined_schema());
+  const auto present = view.SortedEntries();
+  Relation fresh = RandomWideRelation(view_def, rows, seed);
+  int64_t i = 0;
+  for (const auto& [t, c] : fresh.SortedEntries()) {
+    if (i % 2 == 0 && static_cast<size_t>(i) < present.size()) {
+      delta.Add(present[static_cast<size_t>(i)].first, -1);
+    } else {
+      std::vector<Value> values = t.values();
+      values[0] = Value(int64_t{1000000} + i);
+      delta.Add(Tuple(values), 1);
+    }
+    ++i;
+  }
+  return delta;
+}
+
+void BM_SignedDeltaMerge(benchmark::State& state) {
+  // Install: merge a signed arity-9 delta into a large view, then its
+  // negation, so the view is the same at every iteration.
+  const ViewDef view_def = WideChainView();
+  Relation view = RandomWideRelation(view_def, state.range(0), 11);
+  const Relation delta = SignedDelta(view_def, view, state.range(1), 12);
+  for (auto _ : state) {
+    view.Merge(delta);
+    view.MergeNegated(delta);
+    benchmark::DoNotOptimize(view);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(1));
+}
+BENCHMARK(BM_SignedDeltaMerge)
+    ->Args({50000, 570})
+    ->Args({5000, 570})
+    ->Args({300, 10});
+
+void BM_FinishFullSpanIdentity(benchmark::State& state) {
+  // TRUE selection and identity projection: the span is the view delta.
+  // Each iteration copies the span first, as a caller that keeps it would.
+  const ViewDef view_def = WideChainView();
+  const Relation span = RandomWideRelation(view_def, state.range(0), 13);
+  for (auto _ : state) {
+    Relation copy = span;
+    Relation out = view_def.FinishFullSpan(std::move(copy));
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FinishFullSpanIdentity)->Arg(10)->Arg(570)->Arg(50000);
+
+void BM_RelationCopy(benchmark::State& state) {
+  // Explorer snapshots, undo captures and StateLog entries all copy
+  // relations; arity 3 is a base relation, arity 9 a full-span view.
+  const ViewDef view_def = WideChainView();
+  const Relation base = RandomRelation(state.range(0), 64, 14);
+  const Relation wide = RandomWideRelation(view_def, state.range(0), 15);
+  const Relation& r = state.range(1) == 3 ? base : wide;
+  for (auto _ : state) {
+    Relation copy = r;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RelationCopy)
+    ->Args({1, 3})
+    ->Args({300, 3})
+    ->Args({50000, 3})
+    ->Args({300, 9})
+    ->Args({50000, 9});
 
 void BM_FullViewEvaluation(benchmark::State& state) {
   // From-scratch SPJ evaluation over a chain — what the recompute

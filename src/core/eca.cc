@@ -80,7 +80,7 @@ void EcaWarehouse::HandleEcaAnswer(EcaQueryAnswer answer) {
                   "answer does not match the outstanding ECA query");
 
   // Accumulate the finished view delta in the action list.
-  pending_delta_.Merge(view_def().FinishFullSpan(answer.result));
+  pending_delta_.Merge(view_def().FinishFullSpan(std::move(answer.result)));
   pending_ids_.push_back(active_->update_id);
 
   // Contamination propagation: every update still queued now was, by

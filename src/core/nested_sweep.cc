@@ -142,8 +142,8 @@ void NestedSweepWarehouse::CompleteTopFrame() {
 
   if (stack_.empty()) {
     SWEEP_CHECK(done.dv.SpansAll(view_def()));
-    Relation view_delta = view_def().FinishFullSpan(done.dv.rel);
-    InstallViewDelta(view_delta, std::move(batch_ids_));
+    InstallViewDelta(view_def().FinishFullSpan(std::move(done.dv.rel)),
+                     std::move(batch_ids_));
     batch_ids_.clear();
     MaybeStartNext();
     return;

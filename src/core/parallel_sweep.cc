@@ -116,7 +116,7 @@ void ParallelSweepWarehouse::MaybeFinish() {
                                active_->right.dv);
   }
   SWEEP_CHECK(full.SpansAll(view_def()));
-  InstallViewDelta(view_def().FinishFullSpan(full.rel),
+  InstallViewDelta(view_def().FinishFullSpan(std::move(full.rel)),
                    {active_->update_id});
   active_.reset();
   MaybeStartNext();

@@ -1,8 +1,7 @@
 #include "relational/operators.h"
 
-#include <unordered_map>
-
 #include "common/check.h"
+#include "storage/hash_index.h"
 
 namespace sweepmv {
 
@@ -31,9 +30,10 @@ Relation Join(const Relation& left, const Relation& right,
               const std::vector<std::pair<int, int>>& keys) {
   Relation out(left.schema().Concat(right.schema()));
 
-  // Build a hash index over the smaller logical side: we always index the
-  // right input on its key columns, then probe with the left. Sizes here
-  // are simulation-scale, so the simple choice is fine.
+  // Index the right input on its key columns with the storage layer's
+  // hash index (the same flat table a source maintains), then probe with
+  // the left. Sizes here are simulation-scale, so the simple choice is
+  // fine.
   std::vector<int> left_key_pos;
   std::vector<int> right_key_pos;
   left_key_pos.reserve(keys.size());
@@ -54,19 +54,12 @@ Relation Join(const Relation& left, const Relation& right,
     return out;
   }
 
-  std::unordered_map<Tuple, std::vector<const std::pair<const Tuple, int64_t>*>,
-                     TupleHash>
-      index;
-  index.reserve(right.entries().size());
-  for (const auto& entry : right.entries()) {
-    index[entry.first.Project(right_key_pos)].push_back(&entry);
-  }
-
+  HashIndex index(right_key_pos);
+  index.RebuildFrom(right);
+  const CountTable& rows = right.entries();
   for (const auto& [lt, lc] : left.entries()) {
-    auto it = index.find(lt.Project(left_key_pos));
-    if (it == index.end()) continue;
-    for (const auto* entry : it->second) {
-      out.Add(lt.Concat(entry->first), lc * entry->second);
+    for (uint32_t row : index.Probe(right, lt.Project(left_key_pos))) {
+      out.Add(lt.Concat(rows.TupleAt(row)), lc * rows.count(row));
     }
   }
   return out;

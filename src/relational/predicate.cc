@@ -37,7 +37,7 @@ Operand Operand::Const(Value v) {
   return o;
 }
 
-const Value& Operand::Resolve(const Tuple& t) const {
+Value Operand::Resolve(const Tuple& t) const {
   if (is_attr_) return t.at(static_cast<size_t>(attr_));
   return constant_;
 }
@@ -64,8 +64,8 @@ struct Predicate::Node {
       case Kind::kTrue:
         return true;
       case Kind::kCompare: {
-        const Value& a = lhs.Resolve(t);
-        const Value& b = rhs.Resolve(t);
+        const Value a = lhs.Resolve(t);
+        const Value b = rhs.Resolve(t);
         switch (op) {
           case CmpOp::kEq:
             return a == b;

@@ -31,7 +31,7 @@ class Operand {
   const Value& constant() const { return constant_; }
 
   // Resolves the operand against a tuple.
-  const Value& Resolve(const Tuple& t) const;
+  Value Resolve(const Tuple& t) const;
 
   std::string ToDisplayString() const;
 

@@ -7,6 +7,22 @@
 
 namespace sweepmv {
 
+Schema::Schema(std::vector<Attribute> attrs) {
+  if (attrs.empty()) return;
+  auto rep = std::make_shared<Rep>();
+  rep->types.reserve(attrs.size());
+  for (const Attribute& a : attrs) rep->types.push_back(a.type);
+  rep->sig = TypeSignature(rep->types.data(), rep->types.size());
+  rep->attrs = std::move(attrs);
+  rep_ = std::move(rep);
+}
+
+const std::vector<Attribute>& Schema::attrs() const {
+  static const std::vector<Attribute>* const kEmpty =
+      new std::vector<Attribute>();
+  return rep_ ? rep_->attrs : *kEmpty;
+}
+
 Schema Schema::AllInts(const std::vector<std::string>& names) {
   std::vector<Attribute> attrs;
   attrs.reserve(names.size());
@@ -17,35 +33,27 @@ Schema Schema::AllInts(const std::vector<std::string>& names) {
 }
 
 const Attribute& Schema::attr(size_t i) const {
-  SWEEP_CHECK_MSG(i < attrs_.size(), "schema index out of range");
-  return attrs_[i];
+  SWEEP_CHECK_MSG(i < arity(), "schema index out of range");
+  return rep_->attrs[i];
 }
 
 int Schema::IndexOf(const std::string& name) const {
-  for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (attrs_[i].name == name) return static_cast<int>(i);
+  for (size_t i = 0; i < arity(); ++i) {
+    if (rep_->attrs[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
 
 Schema Schema::Concat(const Schema& other) const {
-  std::vector<Attribute> attrs = attrs_;
-  attrs.insert(attrs.end(), other.attrs_.begin(), other.attrs_.end());
+  std::vector<Attribute> attrs = this->attrs();
+  attrs.insert(attrs.end(), other.attrs().begin(), other.attrs().end());
   return Schema(std::move(attrs));
-}
-
-bool Schema::Matches(const Tuple& t) const {
-  if (t.arity() != attrs_.size()) return false;
-  for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (t.at(i).type() != attrs_[i].type) return false;
-  }
-  return true;
 }
 
 std::string Schema::ToDisplayString() const {
   std::vector<std::string> parts;
-  parts.reserve(attrs_.size());
-  for (const Attribute& a : attrs_) {
+  parts.reserve(arity());
+  for (const Attribute& a : attrs()) {
     parts.push_back(a.name + ":" + ValueTypeName(a.type));
   }
   return "[" + Join(parts, ", ") + "]";

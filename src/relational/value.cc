@@ -1,8 +1,9 @@
 #include "relational/value.h"
 
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -12,14 +13,12 @@ namespace sweepmv {
 
 namespace {
 
-// Intern pool: text -> weak reference to its canonical buffer. Weak
-// entries keep the pool bounded by the set of *live* strings; expired
-// entries are swept periodically instead of per-release so Value
-// destruction stays allocation- and lock-free.
+// Intern pool: text -> its canonical buffer. Buffers are never freed, so a
+// Cell holding a pointer stays valid for the life of the process and
+// copying a Value needs no refcount.
 struct InternPool {
   std::mutex mu;
-  std::unordered_map<std::string, std::weak_ptr<const InternedString>> map;
-  size_t inserts_since_sweep = 0;
+  std::unordered_map<std::string_view, std::unique_ptr<InternedString>> map;
 };
 
 InternPool& Pool() {
@@ -27,29 +26,23 @@ InternPool& Pool() {
   return *pool;
 }
 
+const InternedString* AsInterned(Cell cell) {
+  return reinterpret_cast<const InternedString*>(cell);
+}
+
 }  // namespace
 
-std::shared_ptr<const InternedString> InternString(std::string text) {
+const InternedString* InternString(std::string text) {
   InternPool& pool = Pool();
   std::lock_guard<std::mutex> lock(pool.mu);
   auto it = pool.map.find(text);
-  if (it != pool.map.end()) {
-    if (std::shared_ptr<const InternedString> live = it->second.lock()) {
-      return live;
-    }
-  }
-  auto interned = std::make_shared<InternedString>();
+  if (it != pool.map.end()) return it->second.get();
+  auto interned = std::make_unique<InternedString>();
   interned->hash = std::hash<std::string>{}(text);
   interned->text = std::move(text);
-  pool.map[interned->text] = interned;
-  if (++pool.inserts_since_sweep >= 1024) {
-    pool.inserts_since_sweep = 0;
-    for (auto sweep = pool.map.begin(); sweep != pool.map.end();) {
-      sweep = sweep->second.expired() ? pool.map.erase(sweep)
-                                      : std::next(sweep);
-    }
-  }
-  return interned;
+  const InternedString* out = interned.get();
+  pool.map.emplace(std::string_view(out->text), std::move(interned));
+  return out;
 }
 
 const char* ValueTypeName(ValueType type) {
@@ -64,79 +57,39 @@ const char* ValueTypeName(ValueType type) {
   return "?";
 }
 
+bool CellLess(ValueType type, Cell a, Cell b) {
+  switch (type) {
+    case ValueType::kInt:
+      return static_cast<int64_t>(a) < static_cast<int64_t>(b);
+    case ValueType::kDouble:
+      return std::bit_cast<double>(a) < std::bit_cast<double>(b);
+    case ValueType::kString:
+      return a != b && AsInterned(a)->text < AsInterned(b)->text;
+  }
+  return false;
+}
+
 int64_t Value::AsInt() const {
-  SWEEP_CHECK_MSG(type() == ValueType::kInt, "Value is not an int");
-  return std::get<int64_t>(data_);
+  SWEEP_CHECK_MSG(type_ == ValueType::kInt, "Value is not an int");
+  return static_cast<int64_t>(cell_);
 }
 
 double Value::AsDouble() const {
-  SWEEP_CHECK_MSG(type() == ValueType::kDouble, "Value is not a double");
-  return std::get<double>(data_);
+  SWEEP_CHECK_MSG(type_ == ValueType::kDouble, "Value is not a double");
+  return std::bit_cast<double>(cell_);
 }
 
 const std::string& Value::AsString() const {
-  SWEEP_CHECK_MSG(type() == ValueType::kString, "Value is not a string");
-  return std::get<std::shared_ptr<const InternedString>>(data_)->text;
-}
-
-bool Value::operator==(const Value& other) const {
-  if (data_.index() != other.data_.index()) return false;
-  switch (type()) {
-    case ValueType::kInt:
-      return std::get<int64_t>(data_) == std::get<int64_t>(other.data_);
-    case ValueType::kDouble:
-      return std::get<double>(data_) == std::get<double>(other.data_);
-    case ValueType::kString:
-      // Interning is canonical: one live buffer per distinct text.
-      return std::get<std::shared_ptr<const InternedString>>(data_) ==
-             std::get<std::shared_ptr<const InternedString>>(other.data_);
-  }
-  return false;
-}
-
-bool Value::operator<(const Value& other) const {
-  if (data_.index() != other.data_.index()) {
-    return data_.index() < other.data_.index();
-  }
-  switch (type()) {
-    case ValueType::kInt:
-      return std::get<int64_t>(data_) < std::get<int64_t>(other.data_);
-    case ValueType::kDouble:
-      return std::get<double>(data_) < std::get<double>(other.data_);
-    case ValueType::kString: {
-      const auto& a = std::get<std::shared_ptr<const InternedString>>(data_);
-      const auto& b =
-          std::get<std::shared_ptr<const InternedString>>(other.data_);
-      return a != b && a->text < b->text;
-    }
-  }
-  return false;
-}
-
-size_t Value::Hash() const {
-  size_t seed = data_.index();
-  size_t h = 0;
-  switch (type()) {
-    case ValueType::kInt:
-      h = std::hash<int64_t>{}(std::get<int64_t>(data_));
-      break;
-    case ValueType::kDouble:
-      h = std::hash<double>{}(std::get<double>(data_));
-      break;
-    case ValueType::kString:
-      h = std::get<std::shared_ptr<const InternedString>>(data_)->hash;
-      break;
-  }
-  // Boost-style hash combine to mix the type tag in.
-  return h ^ (seed + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  SWEEP_CHECK_MSG(type_ == ValueType::kString, "Value is not a string");
+  return AsInterned(cell_)->text;
 }
 
 std::string Value::ToDisplayString() const {
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt:
-      return std::to_string(std::get<int64_t>(data_));
+      return std::to_string(AsInt());
     case ValueType::kDouble:
-      return StrFormat("%g", std::get<double>(data_));
+      return StrFormat("%g", AsDouble());
     case ValueType::kString:
       return "\"" + AsString() + "\"";
   }

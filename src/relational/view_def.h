@@ -74,8 +74,10 @@ class ViewDef {
   Relation EvaluateFull(const std::vector<const Relation*>& rels) const;
 
   // Applies the selection and projection to a relation over the joined
-  // schema (a delta that has been swept across every relation).
-  Relation FinishFullSpan(const Relation& full_span) const;
+  // schema (a delta that has been swept across every relation). With a
+  // TRUE selection and the identity projection the span is returned as it
+  // is, so callers that are done with it should move it in.
+  Relation FinishFullSpan(Relation full_span) const;
 
   std::string ToDisplayString() const;
 
@@ -90,6 +92,7 @@ class ViewDef {
   Schema joined_schema_;
   Predicate selection_;
   std::vector<int> projection_;
+  bool identity_projection_ = false;  // projection_ is 0, 1, …, arity-1
   Schema view_schema_;
 };
 

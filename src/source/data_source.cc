@@ -77,7 +77,9 @@ int64_t DataSource::ApplyTransaction(const std::vector<UpdateOp>& ops) {
   if (delta.Empty()) return -1;
 
   store_.Merge(delta);
-  SWEEP_CHECK_MSG(!store_.relation().HasNegative(),
+  // The store had no negative count before, so only the tuples the delta
+  // touched can have one now.
+  SWEEP_CHECK_MSG(!store_.relation().HasNegativeAmong(delta),
                   "transaction deleted a tuple that was not present");
 
   Update update;

@@ -56,7 +56,9 @@ int64_t EcaSource::ApplyTransaction(int relation_index,
 
   Relation& rel = relations_[static_cast<size_t>(relation_index)];
   rel.Merge(delta);
-  SWEEP_CHECK_MSG(!rel.HasNegative(),
+  // The relation had no negative count before, so only the tuples the
+  // delta touched can have one now.
+  SWEEP_CHECK_MSG(!rel.HasNegativeAmong(delta),
                   "transaction deleted a tuple that was not present");
 
   Update update;

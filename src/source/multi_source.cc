@@ -61,7 +61,9 @@ int64_t MultiRelationSource::ApplyTxn(int relation_index,
   if (delta.Empty()) return -1;
 
   hosted.store.Merge(delta);
-  SWEEP_CHECK_MSG(!hosted.store.relation().HasNegative(),
+  // The store had no negative count before, so only the tuples the delta
+  // touched can have one now.
+  SWEEP_CHECK_MSG(!hosted.store.relation().HasNegativeAmong(delta),
                   "transaction deleted a tuple that was not present");
 
   Update update;

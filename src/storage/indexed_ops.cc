@@ -50,13 +50,12 @@ PartialDelta ExtendLeftIndexed(const ViewDef& view,
   out.lo = rel_index;
   out.hi = pd.hi;
   out.rel = Relation(left.schema().Concat(pd.rel.schema()));
+  const Relation& base = left.relation();
+  const CountTable& rows = base.entries();
   for (const auto& [pt, pc] : pd.rel.entries()) {
     ++stats->index_probes;
-    const HashIndex::Bucket* bucket =
-        index->Probe(pt.Project(probe_positions));
-    if (bucket == nullptr) continue;
-    for (const HashIndex::Entry* entry : *bucket) {
-      out.rel.Add(entry->first.Concat(pt), entry->second * pc);
+    for (uint32_t row : index->Probe(base, pt.Project(probe_positions))) {
+      out.rel.Add(rows.TupleAt(row).Concat(pt), rows.count(row) * pc);
       ++stats->index_matches;
     }
   }
@@ -83,13 +82,12 @@ PartialDelta ExtendRightIndexed(const ViewDef& view, const PartialDelta& pd,
   out.lo = pd.lo;
   out.hi = rel_index;
   out.rel = Relation(pd.rel.schema().Concat(right.schema()));
+  const Relation& base = right.relation();
+  const CountTable& rows = base.entries();
   for (const auto& [pt, pc] : pd.rel.entries()) {
     ++stats->index_probes;
-    const HashIndex::Bucket* bucket =
-        index->Probe(pt.Project(probe_positions));
-    if (bucket == nullptr) continue;
-    for (const HashIndex::Entry* entry : *bucket) {
-      out.rel.Add(pt.Concat(entry->first), pc * entry->second);
+    for (uint32_t row : index->Probe(base, pt.Project(probe_positions))) {
+      out.rel.Add(pt.Concat(rows.TupleAt(row)), pc * rows.count(row));
       ++stats->index_matches;
     }
   }

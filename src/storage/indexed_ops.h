@@ -3,7 +3,7 @@
 // These mirror ExtendLeft/ExtendRight (relational/partial_delta.h) but
 // treat the base relation as the *indexed* side and the partial delta as
 // the *probe* side: for each delta entry, project its key, probe the
-// maintained index, and emit one output tuple per bucket match. Cost is
+// maintained index, and emit one output tuple per matching row. Cost is
 // O(|Δ| · matches) instead of the scan join's O(|R| + |Δ| · matches)
 // per query — the difference SWEEP's per-update query pattern feels on
 // every hop (bench/index_speedup.cc quantifies it).

@@ -36,26 +36,25 @@ const HashIndex* IndexedRelation::FindIndex(
 
 void IndexedRelation::Add(const Tuple& t, int64_t count) {
   if (count == 0) return;
-  const HashIndex::Entry* existing = rel_.FindEntry(t);
-  const int64_t before = existing ? existing->second : 0;
-  if (before + count == 0) {
-    // The entry is about to vanish: unhook it from every index while the
-    // map node is still alive, then let the relation erase it.
-    for (const auto& index : indexes_) index->OnErase(existing);
-    rel_.Add(t, count);
+  const uint32_t row = rel_.FindRow(t);
+  if (row == Relation::kNoRow) {
+    const uint32_t added = rel_.AppendRow(t, count);
+    for (const auto& index : indexes_) index->OnInsert(rel_, added);
     return;
   }
-  rel_.Add(t, count);
-  if (before == 0) {
-    const HashIndex::Entry* entry = rel_.FindEntry(t);
-    for (const auto& index : indexes_) index->OnInsert(entry);
+  if (rel_.entries().count(row) + count == 0) {
+    // The row is about to vanish and the last row to take its number:
+    // the indexes follow while the relation still holds both.
+    for (const auto& index : indexes_) index->OnErase(rel_, row);
   }
-  // before != 0 and still nonzero: the node (and thus every index
-  // pointer) is unchanged; the new count is read through it.
+  rel_.AddToRow(row, count);
 }
 
 void IndexedRelation::Merge(const Relation& delta) {
-  for (const auto& [t, c] : delta.entries()) Add(t, c);
+  const CountTable& rows = delta.entries();
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    Add(rows.TupleAt(r), rows.count(r));
+  }
 }
 
 void IndexedRelation::RebuildIndexes() {
@@ -66,6 +65,10 @@ void IndexedRelation::RebuildIndexes() {
 }
 
 void IndexedRelation::RestoreRelation(Relation snapshot) {
+  // A wholesale replacement gets the full scan that per-transaction
+  // commits avoid (they check only the tuples a delta touched).
+  SWEEP_CHECK_MSG(!snapshot.HasNegative(),
+                  "base relations must have positive counts");
   rel_ = std::move(snapshot);
   for (const auto& index : indexes_) index->RebuildFrom(rel_);
 }

@@ -13,12 +13,13 @@
 //   I1  relation() is bit-identical to a Relation that received the same
 //       Add/Merge sequence — indexes never change query *results*.
 //   I2  for every maintained index and every stored tuple t with nonzero
-//       count, the index bucket of t's key projection contains exactly the
-//       relation entries whose projection equals that key (no more, no
-//       fewer, no stale pointers).
+//       count, probing the index with t's key projection yields exactly
+//       the relation rows whose projection equals that key (no more, no
+//       fewer, no stale row numbers).
 //   I3  indexes are a pure cache: RebuildIndexes() from relation() (the
 //       crash-recovery path — indexes are volatile, the relation and the
-//       StateLog are the durable store) restores exactly the same buckets.
+//       StateLog are the durable store) restores exactly the same probe
+//       results.
 
 #ifndef SWEEPMV_STORAGE_INDEXED_RELATION_H_
 #define SWEEPMV_STORAGE_INDEXED_RELATION_H_
@@ -35,7 +36,7 @@ namespace sweepmv {
 // Per-site storage-engine counters, surfaced through RunResult so the
 // benches can show the indexed/scan difference.
 struct StorageStats {
-  int64_t index_probes = 0;     // bucket lookups while answering queries
+  int64_t index_probes = 0;     // index lookups while answering queries
   int64_t index_matches = 0;    // tuples emitted from index probes
   int64_t scan_fallbacks = 0;   // extensions answered by a full-scan join
   int64_t index_builds = 0;     // full index (re)builds: setup + recovery
@@ -76,7 +77,8 @@ class IndexedRelation {
   // with `snapshot` and rebuilds the declared indexes from it. Unlike
   // crash recovery, the rebuild does not count toward index_builds() —
   // restoring must leave every schedule-determined counter exactly as a
-  // from-scratch replay of the same prefix would.
+  // from-scratch replay of the same prefix would. `snapshot` must have no
+  // negative count (checked by a full scan).
   void RestoreRelation(Relation snapshot);
 
   // Build counters (probe counters live with the query path; see
@@ -86,8 +88,6 @@ class IndexedRelation {
 
  private:
   Relation rel_;
-  // unique_ptr: HashIndex buckets hold pointers into rel_'s map, and the
-  // vector may reallocate while indexes are being added.
   std::vector<std::unique_ptr<HashIndex>> indexes_;
   int64_t index_builds_ = 0;
 };

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "relational/partial_delta.h"
+#include "source/multi_source.h"
+#include "storage/indexed_relation.h"
 #include "test_util.h"
 
 namespace sweepmv {
@@ -31,10 +33,89 @@ TEST(ContractDeathTest, DeletingAbsentTupleAborts) {
                "deleted a tuple that was not present");
 }
 
+// The commit check looks only at the tuples a transaction touched. These
+// pin that it still sees every way a transaction can drive a count below
+// zero: an absent tuple hidden among valid ops, and a present tuple
+// deleted more often than it occurs.
+TEST(ContractDeathTest, DeletingAbsentTupleAmongValidOpsAborts) {
+  UseThreadsafeDeathTests();
+  ViewDef view = PaperView();
+  Simulator sim;
+  Network net(&sim, LatencyModel::Fixed(10), 1);
+  UpdateIdGenerator ids;
+  DataSource source(1, 0, PaperBases(view)[0], &view, &net, 0, &ids);
+  net.RegisterSite(1, &source);
+
+  EXPECT_DEATH(source.ApplyTransaction({UpdateOp::Insert(IntTuple({5, 3})),
+                                        UpdateOp::Delete(IntTuple({1, 3})),
+                                        UpdateOp::Delete(IntTuple({9, 9}))}),
+               "deleted a tuple that was not present");
+}
+
+TEST(ContractDeathTest, OverDeletingPresentTupleAborts) {
+  UseThreadsafeDeathTests();
+  ViewDef view = PaperView();
+  Simulator sim;
+  Network net(&sim, LatencyModel::Fixed(10), 1);
+  UpdateIdGenerator ids;
+  DataSource source(1, 0, PaperBases(view)[0], &view, &net, 0, &ids);
+  net.RegisterSite(1, &source);
+
+  EXPECT_DEATH(source.ApplyTransaction({UpdateOp::Delete(IntTuple({1, 3})),
+                                        UpdateOp::Delete(IntTuple({1, 3}))}),
+               "deleted a tuple that was not present");
+}
+
+TEST(ContractDeathTest, MultiRelationSourceDeletingAbsentTupleAborts) {
+  UseThreadsafeDeathTests();
+  ViewDef view = PaperView();
+  Simulator sim;
+  Network net(&sim, LatencyModel::Fixed(10), 1);
+  UpdateIdGenerator ids;
+  std::vector<Relation> bases = PaperBases(view);
+  MultiRelationSource source(1, {{0, bases[0]}, {1, bases[1]}}, &view, &net,
+                             0, &ids);
+  net.RegisterSite(1, &source);
+
+  EXPECT_DEATH(source.ApplyTxn(1, {UpdateOp::Delete(IntTuple({3, 8}))}),
+               "deleted a tuple that was not present");
+}
+
+TEST(ContractDeathTest, EcaSourceDeletingAbsentTupleAborts) {
+  UseThreadsafeDeathTests();
+  ViewDef view = PaperView();
+  Simulator sim;
+  Network net(&sim, LatencyModel::Fixed(10), 1);
+  UpdateIdGenerator ids;
+  EcaSource source(1, PaperBases(view), &view, &net, 0, &ids);
+  net.RegisterSite(1, &source);
+
+  EXPECT_DEATH(
+      source.ApplyTransaction(2, {UpdateOp::Delete(IntTuple({100, 100}))}),
+      "deleted a tuple that was not present");
+}
+
+// A wholesale replacement of a store keeps the full scan.
+TEST(ContractDeathTest, RestoringNegativeRelationAborts) {
+  UseThreadsafeDeathTests();
+  Relation negative(Schema::AllInts({"A", "B"}));
+  negative.Add(IntTuple({1, 2}), -1);
+  IndexedRelation store{Relation(Schema::AllInts({"A", "B"}))};
+  EXPECT_DEATH(store.RestoreRelation(negative), "positive counts");
+}
+
 TEST(ContractDeathTest, TupleSchemaMismatchAborts) {
   UseThreadsafeDeathTests();
   Relation r(Schema::AllInts({"A", "B"}));
   EXPECT_DEATH(r.Add(IntTuple({1, 2, 3}), 1),
+               "does not match relation schema");
+}
+
+// Same arity, one column of the wrong type: the type signature differs.
+TEST(ContractDeathTest, TupleTypeMismatchAborts) {
+  UseThreadsafeDeathTests();
+  Relation r(Schema::AllInts({"A", "B"}));
+  EXPECT_DEATH(r.Add(Tuple({Value(int64_t{1}), Value(2.5)}), 1),
                "does not match relation schema");
 }
 

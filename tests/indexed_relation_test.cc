@@ -1,4 +1,4 @@
-// Storage-engine unit and property tests: HashIndex bucket maintenance,
+// Storage-engine unit and property tests: HashIndex row-chain maintenance,
 // IndexedRelation invariants I1-I3 (see storage/indexed_relation.h), the
 // IndexCatalog key-selection rule, and indexed-vs-scan equality of the
 // ExtendLeft/ExtendRight query entry points.
@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,33 +23,41 @@ namespace {
 
 Schema TwoCols() { return Schema::AllInts({"A", "B"}); }
 
-// Recomputes what an index over `key` must contain and compares bucket by
-// bucket against the maintained one.
+// Probe results as row numbers, and the same set found by a scan.
+std::vector<uint32_t> ProbeRows(const IndexedRelation& store,
+                                const HashIndex& index, const Tuple& key) {
+  std::vector<uint32_t> rows;
+  for (uint32_t row : index.Probe(store.relation(), key)) rows.push_back(row);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<uint32_t> ScanRows(const IndexedRelation& store,
+                               const std::vector<int>& key_positions,
+                               const Tuple& key) {
+  std::vector<uint32_t> rows;
+  const CountTable& table = store.relation().entries();
+  for (uint32_t row = 0; row < table.size(); ++row) {
+    if (table.TupleAt(row).Project(key_positions) == key) rows.push_back(row);
+  }
+  return rows;
+}
+
+// Recomputes what an index over `key` must contain and compares it key by
+// key against the maintained one: every row's key probes to exactly the
+// rows a scan finds, so no row is missing and no row number is stale.
 void ExpectIndexConsistent(const IndexedRelation& store,
                            const std::vector<int>& key) {
   const HashIndex* index = store.FindIndex(key);
   ASSERT_NE(index, nullptr);
-  size_t entries_in_buckets = 0;
+  std::set<Tuple> keys;
   for (const auto& [t, c] : store.relation().entries()) {
-    const HashIndex::Bucket* bucket = index->Probe(t.Project(key));
-    ASSERT_NE(bucket, nullptr) << "no bucket for " << t.ToDisplayString();
-    const HashIndex::Entry* entry = store.relation().FindEntry(t);
-    EXPECT_TRUE(bucket->count(entry) == 1)
-        << t.ToDisplayString() << " missing from its bucket";
+    const Tuple k = t.Project(key);
+    keys.insert(k);
+    EXPECT_EQ(ProbeRows(store, *index, k), ScanRows(store, key, k))
+        << "key " << k.ToDisplayString();
   }
-  // No stale entries: every bucket member must be a live relation entry.
-  for (const auto& [t, c] : store.relation().entries()) {
-    const HashIndex::Bucket* bucket = index->Probe(t.Project(key));
-    for (const HashIndex::Entry* entry : *bucket) {
-      EXPECT_EQ(store.relation().CountOf(entry->first), entry->second);
-      entries_in_buckets += 1;
-    }
-  }
-  // Each distinct tuple appears in exactly one bucket, so summing bucket
-  // members over all tuples multi-counts by bucket size; instead check
-  // total distinct keys is sane.
-  EXPECT_LE(index->distinct_keys(), store.relation().DistinctSize());
-  (void)entries_in_buckets;
+  EXPECT_EQ(index->distinct_keys(), keys.size());
 }
 
 TEST(HashIndexTest, InsertProbeErase) {
@@ -60,18 +70,18 @@ TEST(HashIndexTest, InsertProbeErase) {
   const HashIndex* index = store.FindIndex({1});
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->distinct_keys(), 2u);
-  const HashIndex::Bucket* bucket = index->Probe(IntTuple({7}));
-  ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->size(), 2u);
-  EXPECT_EQ(index->Probe(IntTuple({9})), nullptr);
+  const Relation& rel = store.relation();
+  EXPECT_EQ(index->Probe(rel, IntTuple({7})).size(), 2u);
+  EXPECT_TRUE(index->Probe(rel, IntTuple({9})).empty());
 
-  // Count bump keeps the same node; vanishing erases the bucket entry.
+  // A count bump keeps the row; vanishing unlinks it from its key.
   store.Add(IntTuple({1, 7}));
-  EXPECT_EQ(index->Probe(IntTuple({7}))->size(), 2u);
+  EXPECT_EQ(index->Probe(rel, IntTuple({7})).size(), 2u);
   store.Add(IntTuple({1, 7}), -2);
-  EXPECT_EQ(index->Probe(IntTuple({7}))->size(), 1u);
+  EXPECT_EQ(index->Probe(rel, IntTuple({7})).size(), 1u);
   store.Add(IntTuple({2, 7}), -1);
-  EXPECT_EQ(index->Probe(IntTuple({7})), nullptr);
+  EXPECT_TRUE(index->Probe(rel, IntTuple({7})).empty());
+  EXPECT_EQ(index->distinct_keys(), 1u);
 }
 
 TEST(IndexedRelationTest, EnsureIndexIsIdempotent) {
@@ -132,16 +142,15 @@ TEST(IndexedRelationTest, RebuildMatchesIncrementalMaintenance) {
   const HashIndex* index = store.FindIndex({1});
   std::vector<size_t> sizes_before;
   for (int64_t k = 0; k < 6; ++k) {
-    const HashIndex::Bucket* b = index->Probe(IntTuple({k}));
-    sizes_before.push_back(b == nullptr ? 0 : b->size());
+    sizes_before.push_back(
+        index->Probe(store.relation(), IntTuple({k})).size());
   }
   const int64_t builds_before = store.index_builds();
   store.RebuildIndexes();
   EXPECT_EQ(store.index_builds(), builds_before + 1);
   index = store.FindIndex({1});
   for (int64_t k = 0; k < 6; ++k) {
-    const HashIndex::Bucket* b = index->Probe(IntTuple({k}));
-    EXPECT_EQ(b == nullptr ? 0 : b->size(),
+    EXPECT_EQ(index->Probe(store.relation(), IntTuple({k})).size(),
               sizes_before[static_cast<size_t>(k)]);
   }
   ExpectIndexConsistent(store, {1});

@@ -159,7 +159,8 @@ class Model:
     )
     # Type-alias name -> underlying type text (`using X = ...;` and
     # `typedef ... X;`), first writer wins in sorted-file order. Lets the
-    # unordered-container predicate see through e.g. Relation::CountMap.
+    # unordered-container predicate see through e.g. `using Counts =
+    # std::unordered_map<...>`.
     aliases: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     def merge_class(self, info: ClassInfo) -> None:

@@ -55,6 +55,7 @@ from model import (
     Model,
 )
 from tokutil import (
+    UNORDERED_MARKERS,
     Token,
     allowed_quietly,
     in_scope,
@@ -534,11 +535,11 @@ class _BodyScan:
 
     def _range_type(self, expr: List[Token]) -> str:
         text = " ".join(t for t, _ in expr)
-        if any(m in text for m in ("unordered_map", "unordered_set")):
+        if any(m in text for m in UNORDERED_MARKERS):
             return text
         if expr and expr[-1][0] == ")":
             # Trailing call: resolve the callee's declared return type
-            # (e.g. `update.delta.entries()` -> `const CountMap &`).
+            # (e.g. `update.delta.entries()` -> `const CountTable &`).
             depth = 0
             for i in range(len(expr) - 1, -1, -1):
                 t = expr[i][0]

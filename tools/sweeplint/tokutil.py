@@ -15,15 +15,19 @@ from model import MIN_RATIONALE_LEN, Diagnostic, Method, Model, find_allow
 
 Token = Tuple[str, int]
 
-UNORDERED_MARKERS = ("unordered_map", "unordered_set")
+# Containers whose iteration order is not a function of their contents.
+# CountTable (src/relational/relation.h) is the flat table behind every
+# Relation: it iterates in row order, which the mutation history decides
+# (an erase moves the last row), so `for (... : rel.entries())` counts.
+UNORDERED_MARKERS = ("unordered_map", "unordered_set", "CountTable")
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def unordered_type(model: Model, type_text: str) -> bool:
     """True if the type text names an unordered container, directly or
-    through one level of recorded type alias (e.g. Relation::CountMap =
-    std::unordered_map<...>)."""
+    through one level of recorded type alias (e.g. `using Counts =
+    std::unordered_map<...>`)."""
     if any(m in type_text for m in UNORDERED_MARKERS):
         return True
     for word in _WORD.findall(type_text):
