@@ -6,25 +6,26 @@
 //
 //   replay    stateless baseline: every schedule re-executes its whole
 //             choice prefix from a fresh system (share_prefixes=false)
-//   snapshot  prefix-sharing DFS backtracking by full SaveState copy at
-//             every branch (use_undo=false) — the deep-copy engine
-//   undo      prefix-sharing DFS backtracking by undo-log rollback,
-//             full snapshots only on the anchor cadence (use_undo=true)
-//   dedup     undo engine plus the visited-state table: branches
+//   snapshot  prefix-sharing DFS backtracking by a full SaveState copy
+//             at every branch node
+//   dedup     snapshot engine plus the visited-state table: branches
 //             reaching an already-classified state merge its cached
 //             summary instead of re-exploring (dedup_states=true)
-//   xN        the undo+dedup engine with the subtree frontier split
-//             across N work-stealing threads
+//   xN        the dedup engine with the subtree frontier split across N
+//             work-stealing threads
 //
-// plus an anchor-cadence sweep (K in {1, 8, 64}), a batch of seeded
-// random walks, and the engine ladder on a generated multi-view
-// fault-injected stress scenario (two warehouses, two crash choice
-// points, millions of naive interleavings). Reports
-// wall clock, the replay-redundancy factor (executions / schedules),
-// the dedup hit rate, and mean undo entries per rollback,
-// machine-readably. The bench aborts if any two engines disagree on
-// schedule counts or verdicts: the speedup rows are only meaningful
-// because every engine answers the identical question.
+// plus a batch of seeded random walks, and the engine ladder on a
+// generated multi-view fault-injected stress scenario (two warehouses,
+// two crash choice points, millions of naive interleavings). Reports
+// wall clock, the replay-redundancy factor (executions / schedules) and
+// the dedup hit rate, machine-readably. The bench aborts if any two
+// engines disagree on schedule counts or verdicts: the speedup rows are
+// only meaningful because every engine answers the identical question.
+// A speedup is printed only between two rows that exhausted the same
+// space; rows cut by the schedule budget cover engine-dependent slices
+// and get no ratio. The parallel rows' executions and dedup hits depend
+// on thread timing (which task reaches a shared state first), so they
+// are labelled as such and never compared.
 //
 //   $ ./explorer_throughput [--algo=SWEEP] [--budget=500000]
 //                           [--walks=500] [--large-updates=1]
@@ -32,15 +33,16 @@
 //                           [--out=BENCH_explorer.json]
 //
 // Acceptance bars: POR prunes >= 2x schedules vs. naive enumeration;
-// replay redundancy <= 1.5 on the POR config; undo+dedup >= 5x
-// sequential wall clock over the deep-copy snapshot engine on the
-// stress scenario; zero violations for SWEEP throughout. Parallel rows
-// report wall clock against the "cores" field the JSON records — on a
-// single-core host they measure pool overhead, not speedup.
+// replay redundancy <= 1.5 on the POR config; dedup >= 5x sequential
+// wall clock over the snapshot engine on the exhausted stress scenario;
+// zero violations for SWEEP throughout. Parallel rows report wall clock
+// against the "cores" field the JSON records — on a single-core host
+// they measure pool overhead, not speedup.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,8 +65,6 @@ int64_t NowMs() {
 struct EngineOpts {
   bool share_prefixes = true;
   int threads = 1;
-  bool use_undo = false;
-  int anchor_every = 8;
   bool dedup = false;
   // Refined independence: consult this effect index on top of the site
   // rule (verify/effects.h). Null = site rule only.
@@ -95,14 +95,6 @@ struct Timed {
                              static_cast<double>(lookups)
                        : 0.0;
   }
-  // Mean mutations unwound per watermark rollback — the O(changes) the
-  // undo log replaces an O(state) snapshot restore with.
-  double UndoPerRollback() const {
-    return result.undo_rollbacks > 0
-               ? static_cast<double>(result.undo_entries) /
-                     static_cast<double>(result.undo_rollbacks)
-               : 0.0;
-  }
 };
 
 Timed RunExhaustive(const ControlledScenario& scenario,
@@ -115,8 +107,6 @@ Timed RunExhaustive(const ControlledScenario& scenario,
                         /*minimize=*/false};
   config.share_prefixes = engine.share_prefixes;
   config.threads = engine.threads;
-  config.use_undo = engine.use_undo;
-  config.snapshot_anchor_every = engine.anchor_every;
   config.dedup_states = engine.dedup;
   config.effects = engine.effects;
   Timed timed;
@@ -172,12 +162,27 @@ void RequireSameVerdicts(const Timed& baseline, const Timed& other) {
   std::exit(1);
 }
 
-double Speedup(const Timed& baseline, const Timed& fast) {
+// Wall-clock ratio, or nullopt unless both runs exhausted the same space:
+// a budget-capped run covers an engine-dependent slice, so its time is
+// not comparable work.
+std::optional<double> Speedup(const Timed& baseline, const Timed& fast) {
+  if (!baseline.result.exhausted || !fast.result.exhausted ||
+      baseline.result.schedules != fast.result.schedules) {
+    return std::nullopt;
+  }
   // Sub-millisecond runs clamp to 1ms so ratios stay finite (and
   // conservative: the real speedup is at least what we report).
   double base = static_cast<double>(baseline.wall_ms > 0 ? baseline.wall_ms : 1);
   double ms = static_cast<double>(fast.wall_ms > 0 ? fast.wall_ms : 1);
   return base / ms;
+}
+
+std::string RatioText(std::optional<double> x) {
+  return x.has_value() ? StrFormat("%.1fx", *x) : "n/a (unequal work)";
+}
+
+std::string RatioJson(std::optional<double> x) {
+  return x.has_value() ? StrFormat("%.2f", *x) : "null";
 }
 
 Algorithm ParseAlgo(const std::string& name) {
@@ -194,9 +199,7 @@ std::string RowJson(const Timed& t) {
       "\"replay_redundancy\": %.2f, \"threads\": %d, \"exhausted\": %s, "
       "\"violations\": %lld, \"sleep_pruned\": %lld, "
       "\"dedup_hits\": %lld, \"dedup_hit_rate\": %.3f, "
-      "\"refined_grants\": %lld, "
-      "\"undo_rollbacks\": %lld, \"undo_per_rollback\": %.1f, "
-      "\"anchor_snapshots\": %lld, \"parallel_fallback\": %s, "
+      "\"refined_grants\": %lld, \"parallel_fallback\": %s, "
       "\"wall_ms\": %lld, \"schedules_per_sec\": %.1f}",
       static_cast<long long>(t.result.schedules),
       static_cast<long long>(t.result.executions), t.Redundancy(),
@@ -205,10 +208,51 @@ std::string RowJson(const Timed& t) {
       static_cast<long long>(t.result.sleep_pruned),
       static_cast<long long>(t.result.dedup_hits), t.DedupHitRate(),
       static_cast<long long>(t.result.refined_grants),
-      static_cast<long long>(t.result.undo_rollbacks), t.UndoPerRollback(),
-      static_cast<long long>(t.result.anchor_snapshots),
       t.result.parallel_fallback ? "true" : "false",
       static_cast<long long>(t.wall_ms), t.SchedulesPerSec());
+}
+
+// A parallel row's fields. Its executions and dedup hits depend on which
+// subtree task reaches a shared state first, i.e. on thread timing; the
+// row says so, and only its schedules and verdicts are compared.
+std::string ParallelJson(const Timed& t, std::optional<double> speedup) {
+  return StrFormat(
+      "\"threads\": %d, \"schedules\": %lld, \"exhausted\": %s, "
+      "\"executions\": %lld, \"dedup_hits\": %lld, "
+      "\"timing_dependent\": [\"executions\", \"dedup_hits\"], "
+      "\"parallel_fallback\": %s, \"wall_ms\": %lld, "
+      "\"schedules_per_sec\": %.1f, \"speedup_x\": %s}",
+      t.threads, static_cast<long long>(t.result.schedules),
+      t.result.exhausted ? "true" : "false",
+      static_cast<long long>(t.result.executions),
+      static_cast<long long>(t.result.dedup_hits),
+      t.result.parallel_fallback ? "true" : "false",
+      static_cast<long long>(t.wall_ms), t.SchedulesPerSec(),
+      RatioJson(speedup).c_str());
+}
+
+const std::vector<std::string> kEngineColumns = {
+    "mode",       "threads",    "schedules", "executions", "redundancy",
+    "dedup hits", "violations", "wall ms",   "schedules/s"};
+
+constexpr const char* kTimingNote =
+    "(t) timing-dependent: parallel executions, redundancy and dedup hits "
+    "vary with thread timing";
+
+// One table row; a parallel row's timing-dependent cells carry "(t)".
+std::vector<std::string> EngineRow(const Timed& t) {
+  const char* mark = t.threads > 1 ? " (t)" : "";
+  return {t.mode,
+          StrFormat("%d", t.threads),
+          StrFormat("%lld", static_cast<long long>(t.result.schedules)),
+          StrFormat("%lld%s", static_cast<long long>(t.result.executions),
+                    mark),
+          StrFormat("%.2f%s", t.Redundancy(), mark),
+          StrFormat("%lld%s", static_cast<long long>(t.result.dedup_hits),
+                    mark),
+          StrFormat("%lld", static_cast<long long>(t.result.violations)),
+          StrFormat("%lld", static_cast<long long>(t.wall_ms)),
+          StrFormat("%.0f", t.SchedulesPerSec())};
 }
 
 }  // namespace
@@ -247,12 +291,11 @@ int main(int argc, char** argv) {
       "(required: %s).\n\n",
       AlgorithmName(algo), ConsistencyLevelName(required));
 
-  const EngineOpts kReplay{/*share_prefixes=*/false, 1, false, 8, false};
-  const EngineOpts kSnapshot{true, 1, /*use_undo=*/false, 8, false};
-  const EngineOpts kUndo{true, 1, /*use_undo=*/true, 8, false};
-  const EngineOpts kDedup{true, 1, /*use_undo=*/true, 8, /*dedup=*/true};
+  const EngineOpts kReplay{/*share_prefixes=*/false, 1, false};
+  const EngineOpts kSnapshot{true, 1, false};
+  const EngineOpts kDedup{true, 1, /*dedup=*/true};
   auto parallel_opts = [](int threads) {
-    return EngineOpts{true, threads, /*use_undo=*/true, 8, /*dedup=*/true};
+    return EngineOpts{true, threads, /*dedup=*/true};
   };
 
   auto run = [&](bool sleep_sets, const EngineOpts& engine,
@@ -265,33 +308,20 @@ int main(int argc, char** argv) {
   Timed por_replay = run(true, kReplay, "POR replay");
   Timed naive_replay = run(false, kReplay, "naive replay");
 
-  // Prefix-sharing engines: deep-copy snapshot, undo-log, undo+dedup.
-  // "por"/"naive" stay bound to the snapshot engine so the headline rows
-  // stay comparable run over run; the undo rows carry their own keys.
+  // Prefix-sharing engines: snapshot, and snapshot plus dedup.
   Timed por = run(true, kSnapshot, "POR snapshot");
   Timed naive = run(false, kSnapshot, "naive snapshot");
-  Timed por_undo = run(true, kUndo, "POR undo");
-  Timed naive_undo = run(false, kUndo, "naive undo");
-  Timed por_dedup = run(true, kDedup, "POR undo+dedup");
-  Timed naive_dedup = run(false, kDedup, "naive undo+dedup");
+  Timed por_dedup = run(true, kDedup, "POR dedup");
+  Timed naive_dedup = run(false, kDedup, "naive dedup");
 
   // Refined independence on the fault-free example: the effect table has
   // nothing to add (every pair the site rule declares dependent shares a
   // FIFO channel), so this row documents the zero-gain case — identical
   // tree, zero grants — rather than a speedup.
   EffectsIndex paper_effects = EffectsIndex::ForScenario(scenario);
-  EngineOpts refined_engine = kUndo;
+  EngineOpts refined_engine = kSnapshot;
   refined_engine.effects = &paper_effects;
   Timed por_refined = run(true, refined_engine, "POR refined");
-
-  // Anchor cadence sweep: K=1 degenerates to a snapshot at every branch;
-  // large K leans almost entirely on the undo log.
-  std::vector<Timed> cadence;
-  for (int k : {1, 8, 64}) {
-    EngineOpts opts = kUndo;
-    opts.anchor_every = k;
-    cadence.push_back(run(true, opts, StrFormat("POR undo K=%d", k)));
-  }
 
   std::vector<Timed> parallel;
   for (int threads : {2, 4, 8}) {
@@ -302,14 +332,11 @@ int main(int argc, char** argv) {
   }
 
   RequireSameVerdicts(por_replay, por);
-  RequireSameVerdicts(por_replay, por_undo);
   RequireSameVerdicts(por_replay, por_dedup);
   // Zero gain here means byte-identical counts, not just verdicts.
   RequireSameVerdicts(por_replay, por_refined);
   RequireSameVerdicts(naive_replay, naive);
-  RequireSameVerdicts(naive_replay, naive_undo);
   RequireSameVerdicts(naive_replay, naive_dedup);
-  for (const Timed& t : cadence) RequireSameVerdicts(por, t);
   for (const Timed& t : parallel) {
     RequireSameVerdicts(t.sleep_sets ? por : naive, t);
   }
@@ -323,30 +350,12 @@ int main(int argc, char** argv) {
       ExploreRandom(random_config, walks, /*seed=*/12345);
   int64_t random_ms = NowMs() - random_start;
 
-  TablePrinter table({"mode", "threads", "schedules", "executions",
-                      "redundancy", "dedup hits", "violations", "wall ms",
-                      "schedules/s"});
-  auto add = [&](const Timed& t) {
-    table.AddRow({t.mode, StrFormat("%d", t.threads),
-                  StrFormat("%lld", static_cast<long long>(t.result.schedules)),
-                  StrFormat("%lld", static_cast<long long>(t.result.executions)),
-                  StrFormat("%.2f", t.Redundancy()),
-                  StrFormat("%lld", static_cast<long long>(t.result.dedup_hits)),
-                  StrFormat("%lld", static_cast<long long>(t.result.violations)),
-                  StrFormat("%lld", static_cast<long long>(t.wall_ms)),
-                  StrFormat("%.0f", t.SchedulesPerSec())});
-  };
-  add(por_replay);
-  add(naive_replay);
-  add(por);
-  add(naive);
-  add(por_undo);
-  add(naive_undo);
-  add(por_dedup);
-  add(naive_dedup);
-  add(por_refined);
-  for (const Timed& t : cadence) add(t);
-  for (const Timed& t : parallel) add(t);
+  TablePrinter table(kEngineColumns);
+  for (const Timed* t : {&por_replay, &naive_replay, &por, &naive,
+                         &por_dedup, &naive_dedup, &por_refined}) {
+    table.AddRow(EngineRow(*t));
+  }
+  for (const Timed& t : parallel) table.AddRow(EngineRow(t));
   table.AddRow({"random walks", "1",
                 StrFormat("%lld", static_cast<long long>(random.schedules)),
                 StrFormat("%lld", static_cast<long long>(random.executions)),
@@ -360,14 +369,21 @@ int main(int argc, char** argv) {
           ? static_cast<double>(naive.result.schedules) /
                 static_cast<double>(por.result.schedules)
           : 0.0;
-  double sharing_speedup = Speedup(naive_replay, naive);
+  const std::optional<double> sharing_speedup = Speedup(naive_replay, naive);
+  std::printf("%s\n", kTimingNote);
   std::printf("POR reduction: %.2fx (%lld pruned branches)\n", reduction,
               static_cast<long long>(por.result.sleep_pruned));
   std::printf(
-      "prefix sharing: naive redundancy %.2f -> %.2f, %.1fx faster "
+      "prefix sharing: naive redundancy %.2f -> %.2f, %s faster "
       "sequential; dedup hit rate %.1f%% (POR) / %.1f%% (naive)\n",
-      naive_replay.Redundancy(), naive.Redundancy(), sharing_speedup,
-      100.0 * por_dedup.DedupHitRate(), 100.0 * naive_dedup.DedupHitRate());
+      naive_replay.Redundancy(), naive.Redundancy(),
+      RatioText(sharing_speedup).c_str(), 100.0 * por_dedup.DedupHitRate(),
+      100.0 * naive_dedup.DedupHitRate());
+  for (const Timed& t : parallel) {
+    std::printf("%s: %s over sequential dedup\n", t.mode.c_str(),
+                RatioText(Speedup(t.sleep_sets ? por_dedup : naive_dedup, t))
+                    .c_str());
+  }
   std::printf(
       "refined independence: %lld grants on the fault-free example "
       "(zero by construction: every site-dependent pair shares a "
@@ -386,10 +402,10 @@ int main(int argc, char** argv) {
       "warehouse crash in the schedule space).\n\n");
   ControlledScenario faulty_scenario = FaultyPaperExampleScenario(algo);
   EffectsIndex faulty_effects = EffectsIndex::ForScenario(faulty_scenario);
-  EngineOpts faulty_refined_engine = kUndo;
+  EngineOpts faulty_refined_engine = kSnapshot;
   faulty_refined_engine.effects = &faulty_effects;
   Timed faulty_site = RunExhaustive(faulty_scenario, required,
-                                    /*sleep_sets=*/true, budget, kUndo,
+                                    /*sleep_sets=*/true, budget, kSnapshot,
                                     "faulty POR");
   Timed faulty_refined =
       RunExhaustive(faulty_scenario, required, /*sleep_sets=*/true, budget,
@@ -439,15 +455,15 @@ int main(int argc, char** argv) {
 
   // --- Generated multi-view fault-injected stress scenario -------------
   // Two warehouses over the same sources plus two crash choice points:
-  // the space where the undo log and the visited table earn their keep.
+  // the space where the visited table earns its keep.
   // Measured without sleep sets: POR removes the *syntactic* diamonds
   // (commuting independent events) and flattens this scenario to a few
   // thousand schedules, while the crash placements create *semantic*
   // confluence — different interleavings reaching identical
   // post-recovery states — that only the visited table can collapse.
   // The two reductions are orthogonal; the paper-example section above
-  // measures their composition. The snapshot row is the deep-copy
-  // sequential baseline the speedup bars are measured against.
+  // measures their composition. The snapshot row is the sequential
+  // baseline the speedup bars are measured against.
   std::printf(
       "\nGenerated multi-view stress scenario: SWEEP + NESTED warehouses, "
       "%d update(s), 2 crashes.\n\n",
@@ -464,18 +480,17 @@ int main(int argc, char** argv) {
                          std::move(mode));
   };
   Timed large_snapshot = run_large(kSnapshot, "stress snapshot");
-  Timed large_undo = run_large(kUndo, "stress undo");
-  Timed large_dedup = run_large(kDedup, "stress undo+dedup");
+  Timed large_dedup = run_large(kDedup, "stress dedup");
   // Sleep-set rows, site rule vs. refined: the two crash choice points
   // against every source transaction are exactly the pairs the effect
   // table can prove independent, so this is where the refined relation
   // earns real pruning on top of POR.
   EffectsIndex large_effects = EffectsIndex::ForScenario(large_scenario);
-  EngineOpts large_refined_engine = kUndo;
+  EngineOpts large_refined_engine = kSnapshot;
   large_refined_engine.effects = &large_effects;
   Timed large_por = RunExhaustive(large_scenario, large_required,
-                                  /*sleep_sets=*/true, large_budget, kUndo,
-                                  "stress POR");
+                                  /*sleep_sets=*/true, large_budget,
+                                  kSnapshot, "stress POR");
   Timed large_refined =
       RunExhaustive(large_scenario, large_required, /*sleep_sets=*/true,
                     large_budget, large_refined_engine,
@@ -496,7 +511,6 @@ int main(int argc, char** argv) {
                  "(%lld); cross-engine equality not checked\n",
                  static_cast<long long>(large_budget));
   }
-  require_if_exhausted(large_snapshot, large_undo);
   require_if_exhausted(large_snapshot, large_dedup);
   for (const Timed& t : large_parallel) {
     require_if_exhausted(large_snapshot, t);
@@ -519,83 +533,47 @@ int main(int argc, char** argv) {
                         static_cast<double>(large_refined.result.schedules);
   }
 
-  TablePrinter large_table({"mode", "threads", "schedules", "executions",
-                            "redundancy", "dedup hits", "violations",
-                            "wall ms", "schedules/s"});
-  auto add_large = [&](const Timed& t) {
-    large_table.AddRow(
-        {t.mode, StrFormat("%d", t.threads),
-         StrFormat("%lld", static_cast<long long>(t.result.schedules)),
-         StrFormat("%lld", static_cast<long long>(t.result.executions)),
-         StrFormat("%.2f", t.Redundancy()),
-         StrFormat("%lld", static_cast<long long>(t.result.dedup_hits)),
-         StrFormat("%lld", static_cast<long long>(t.result.violations)),
-         StrFormat("%lld", static_cast<long long>(t.wall_ms)),
-         StrFormat("%.0f", t.SchedulesPerSec())});
-  };
-  add_large(large_snapshot);
-  add_large(large_undo);
-  add_large(large_dedup);
-  add_large(large_por);
-  add_large(large_refined);
-  for (const Timed& t : large_parallel) add_large(t);
+  TablePrinter large_table(kEngineColumns);
+  for (const Timed* t : {&large_snapshot, &large_dedup, &large_por,
+                         &large_refined}) {
+    large_table.AddRow(EngineRow(*t));
+  }
+  for (const Timed& t : large_parallel) large_table.AddRow(EngineRow(t));
   std::printf("%s\n", large_table.Render().c_str());
+  std::printf("%s\n", kTimingNote);
   std::printf(
       "stress refined independence: %.2fx fewer schedules than the "
       "site-rule POR (%lld grants)\n",
       stress_prune_gain,
       static_cast<long long>(large_refined.result.refined_grants));
 
-  const Timed& large_8t = large_parallel.back();
-  double undo_dedup_speedup = Speedup(large_snapshot, large_dedup);
-  double large_parallel_speedup = Speedup(large_dedup, large_8t);
+  const std::optional<double> dedup_speedup =
+      Speedup(large_snapshot, large_dedup);
   std::printf(
-      "stress: undo+dedup %.1fx over deep-copy sequential; 8 threads "
-      "%.1fx over undo+dedup sequential (fallback: %s); dedup hit rate "
-      "%.1f%%, %.1f undo entries/rollback\n",
-      undo_dedup_speedup, large_parallel_speedup,
-      large_8t.result.parallel_fallback ? "yes" : "no",
-      100.0 * large_dedup.DedupHitRate(), large_undo.UndoPerRollback());
+      "stress: dedup %s over snapshot sequential; dedup hit rate %.1f%%\n",
+      RatioText(dedup_speedup).c_str(), 100.0 * large_dedup.DedupHitRate());
+  for (const Timed& t : large_parallel) {
+    std::printf("%s: %s over sequential dedup (fallback: %s)\n",
+                t.mode.c_str(), RatioText(Speedup(large_dedup, t)).c_str(),
+                t.result.parallel_fallback ? "yes" : "no");
+  }
 
   std::string parallel_json;
   for (size_t i = 0; i < parallel.size(); ++i) {
     const Timed& t = parallel[i];
     parallel_json += StrFormat(
-        "    {\"config\": \"%s\", \"threads\": %d, \"schedules\": %lld, "
-        "\"executions\": %lld, \"dedup_hits\": %lld, "
-        "\"parallel_fallback\": %s, \"wall_ms\": %lld, "
-        "\"schedules_per_sec\": %.1f}%s\n",
-        t.sleep_sets ? "por" : "naive", t.threads,
-        static_cast<long long>(t.result.schedules),
-        static_cast<long long>(t.result.executions),
-        static_cast<long long>(t.result.dedup_hits),
-        t.result.parallel_fallback ? "true" : "false",
-        static_cast<long long>(t.wall_ms), t.SchedulesPerSec(),
+        "    {\"config\": \"%s\", %s%s\n", t.sleep_sets ? "por" : "naive",
+        ParallelJson(t, Speedup(t.sleep_sets ? por_dedup : naive_dedup, t))
+            .c_str(),
         i + 1 < parallel.size() ? "," : "");
-  }
-  std::string cadence_json;
-  for (size_t i = 0; i < cadence.size(); ++i) {
-    const Timed& t = cadence[i];
-    cadence_json += StrFormat(
-        "    {\"anchor_every\": %d, \"wall_ms\": %lld, "
-        "\"anchor_snapshots\": %lld, \"undo_rollbacks\": %lld, "
-        "\"undo_per_rollback\": %.1f}%s\n",
-        i == 0 ? 1 : (i == 1 ? 8 : 64),
-        static_cast<long long>(t.wall_ms),
-        static_cast<long long>(t.result.anchor_snapshots),
-        static_cast<long long>(t.result.undo_rollbacks),
-        t.UndoPerRollback(), i + 1 < cadence.size() ? "," : "");
   }
   std::string large_parallel_json;
   for (size_t i = 0; i < large_parallel.size(); ++i) {
     const Timed& t = large_parallel[i];
-    large_parallel_json += StrFormat(
-        "      {\"threads\": %d, \"schedules\": %lld, \"wall_ms\": %lld, "
-        "\"parallel_fallback\": %s, \"schedules_per_sec\": %.1f}%s\n",
-        t.threads, static_cast<long long>(t.result.schedules),
-        static_cast<long long>(t.wall_ms),
-        t.result.parallel_fallback ? "true" : "false",
-        t.SchedulesPerSec(), i + 1 < large_parallel.size() ? "," : "");
+    large_parallel_json +=
+        StrFormat("      {%s%s\n",
+                  ParallelJson(t, Speedup(large_dedup, t)).c_str(),
+                  i + 1 < large_parallel.size() ? "," : "");
   }
 
   std::string json = StrFormat(
@@ -608,8 +586,6 @@ int main(int argc, char** argv) {
       "  \"naive\": %s,\n"
       "  \"por_replay\": %s,\n"
       "  \"naive_replay\": %s,\n"
-      "  \"por_undo\": %s,\n"
-      "  \"naive_undo\": %s,\n"
       "  \"por_dedup\": %s,\n"
       "  \"naive_dedup\": %s,\n"
       "  \"por_refined\": %s,\n"
@@ -621,18 +597,15 @@ int main(int argc, char** argv) {
       "    \"refined_prune_gain\": %.2f,\n"
       "    \"stress_prune_gain\": %.2f\n"
       "  },\n"
-      "  \"cadence\": [\n%s  ],\n"
       "  \"parallel\": [\n%s  ],\n"
       "  \"reduction_x\": %.2f,\n"
-      "  \"prefix_sharing_speedup_x\": %.2f,\n"
+      "  \"prefix_sharing_speedup_x\": %s,\n"
       "  \"large\": {\n"
       "    \"updates\": %d,\n"
       "    \"snapshot\": %s,\n"
-      "    \"undo\": %s,\n"
       "    \"dedup\": %s,\n"
       "    \"parallel\": [\n%s    ],\n"
-      "    \"undo_dedup_speedup_x\": %.2f,\n"
-      "    \"parallel_speedup_x\": %.2f\n"
+      "    \"dedup_speedup_x\": %s\n"
       "  },\n"
       "  \"random\": {\"walks\": %lld, \"violations\": %lld, "
       "\"wall_ms\": %lld}\n"
@@ -641,17 +614,16 @@ int main(int argc, char** argv) {
       ConsistencyLevelName(required),
       RowJson(por).c_str(), RowJson(naive).c_str(),
       RowJson(por_replay).c_str(), RowJson(naive_replay).c_str(),
-      RowJson(por_undo).c_str(), RowJson(naive_undo).c_str(),
       RowJson(por_dedup).c_str(), RowJson(naive_dedup).c_str(),
       RowJson(por_refined).c_str(), RowJson(faulty_site).c_str(),
       RowJson(faulty_refined).c_str(), RowJson(large_por).c_str(),
       RowJson(large_refined).c_str(), refined_prune_gain,
       stress_prune_gain,
-      cadence_json.c_str(), parallel_json.c_str(), reduction,
-      sharing_speedup, large_updates, RowJson(large_snapshot).c_str(),
-      RowJson(large_undo).c_str(), RowJson(large_dedup).c_str(),
-      large_parallel_json.c_str(), undo_dedup_speedup,
-      large_parallel_speedup, static_cast<long long>(random.schedules),
+      parallel_json.c_str(), reduction, RatioJson(sharing_speedup).c_str(),
+      large_updates, RowJson(large_snapshot).c_str(),
+      RowJson(large_dedup).c_str(), large_parallel_json.c_str(),
+      RatioJson(dedup_speedup).c_str(),
+      static_cast<long long>(random.schedules),
       static_cast<long long>(random.violations),
       static_cast<long long>(random_ms));
 

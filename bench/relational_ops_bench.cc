@@ -191,8 +191,8 @@ void BM_FinishFullSpanIdentity(benchmark::State& state) {
 BENCHMARK(BM_FinishFullSpanIdentity)->Arg(10)->Arg(570)->Arg(50000);
 
 void BM_RelationCopy(benchmark::State& state) {
-  // Explorer snapshots, undo captures and StateLog entries all copy
-  // relations; arity 3 is a base relation, arity 9 a full-span view.
+  // Explorer snapshots and StateLog entries all copy relations; arity 3
+  // is a base relation, arity 9 a full-span view.
   const ViewDef view_def = WideChainView();
   const Relation base = RandomRelation(state.range(0), 64, 14);
   const Relation wide = RandomWideRelation(view_def, state.range(0), 15);

@@ -11,7 +11,7 @@
 // deduplication": collision policy and the verify_on_hit debug mode).
 //
 // The optional text mode additionally records "tag=value" lines for every
-// absorbed datum; the undo-log round-trip oracle byte-compares these
+// absorbed datum; the snapshot round-trip tests byte-compare these
 // dumps, so a divergence names the first mismatching member instead of
 // just flipping a hash bit.
 

@@ -2,14 +2,14 @@
 //
 // Crash recovery (docs/fault_model.md) restores the warehouse from an
 // in-sim durable store: a checkpoint — the serialized protocol state,
-// exactly the member set Warehouse::SaveState captures plus each
-// algorithm's SaveAlgState members — and a WAL of update messages that
+// exactly the member set Warehouse::VisitState declares plus each
+// algorithm's VisitState members — and a WAL of update messages that
 // arrived after the checkpoint was cut. The codec is deliberately dumb:
 // fixed-width little-endian primitives, length-prefixed containers, no
 // schema evolution (a checkpoint never outlives the simulated run that
 // wrote it). What matters is that it is *total* over the snapshot member
-// sets (lint_invariants.py's checkpoint-coverage rule enforces this
-// against the Save bodies) and *deterministic*: unordered containers are
+// sets (sweeplint's checkpoint-coverage rule enforces this against the
+// declarations) and *deterministic*: unordered containers are
 // serialized in sorted order, so identical states produce identical
 // bytes and checkpoint size is a stable bench metric.
 

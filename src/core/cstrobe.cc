@@ -252,45 +252,6 @@ void CStrobeWarehouse::FinalizeActive() {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState> CStrobeWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.internal_view = internal_view_;
-  s.root_delta = root_delta_;
-  s.active = active_;
-  s.observed_deletes = observed_deletes_;
-  s.spawned = spawned_;
-  s.compensating_queries = compensating_queries_;
-  s.max_tasks_per_update = max_tasks_per_update_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void CStrobeWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  internal_view_ = s.internal_view;
-  root_delta_ = s.root_delta;
-  active_ = s.active;
-  observed_deletes_ = s.observed_deletes;
-  spawned_ = s.spawned;
-  compensating_queries_ = s.compensating_queries;
-  max_tasks_per_update_ = s.max_tasks_per_update;
-}
-
-void CStrobeWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&internal_view_,
-                    {"CStrobeWarehouse", "internal_view_", site_id()});
-  undo.CaptureValue(&root_delta_,
-                    {"CStrobeWarehouse", "root_delta_", site_id()});
-  undo.CaptureValue(&active_, {"CStrobeWarehouse", "active_", site_id()});
-  undo.CaptureValue(&observed_deletes_,
-                    {"CStrobeWarehouse", "observed_deletes_", site_id()});
-  undo.CaptureValue(&spawned_, {"CStrobeWarehouse", "spawned_", site_id()});
-  undo.CaptureValue(&compensating_queries_,
-                    {"CStrobeWarehouse", "compensating_queries_", site_id()});
-  undo.CaptureValue(&max_tasks_per_update_,
-                    {"CStrobeWarehouse", "max_tasks_per_update_", site_id()});
-}
-
 namespace {
 
 void WriteSignature(CheckpointWriter& w,

@@ -100,19 +100,20 @@ class CStrobeWarehouse : public Warehouse {
   void HandleInterference(const Update& update);
   void FinalizeActive();
 
-  // Snapshot/restore: everything mutable below.
-  struct Saved {
-    Relation internal_view;
-    Relation root_delta;
-    std::optional<ActiveUpdate> active;
-    std::vector<std::pair<int, Tuple>> observed_deletes;
-    std::set<Signature> spawned;
-    int64_t compensating_queries = 0;
-    int64_t max_tasks_per_update = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, CStrobeWarehouse);
+    SWEEP_STATE(v, internal_view_);
+    SWEEP_STATE(v, root_delta_);
+    SWEEP_STATE(v, active_);
+    SWEEP_STATE(v, observed_deletes_);
+    SWEEP_STATE(v, spawned_);
+    SWEEP_STATE(v, compensating_queries_);
+    SWEEP_STATE(v, max_tasks_per_update_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

@@ -110,45 +110,6 @@ void EcaWarehouse::TryInstall() {
   SWEEP_LOG(Debug) << "ECA installed a quiescent batch";
 }
 
-std::shared_ptr<const Warehouse::AlgState> EcaWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.active = active_;
-  s.offsets = offsets_;
-  s.pending_delta = pending_delta_;
-  s.pending_ids = pending_ids_;
-  s.max_query_terms = max_query_terms_;
-  s.total_query_terms = total_query_terms_;
-  s.batch_installs = batch_installs_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void EcaWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  offsets_ = s.offsets;
-  pending_delta_ = s.pending_delta;
-  pending_ids_ = s.pending_ids;
-  max_query_terms_ = s.max_query_terms;
-  total_query_terms_ = s.total_query_terms;
-  batch_installs_ = s.batch_installs;
-}
-
-void EcaWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_, {"EcaWarehouse", "active_", site_id()});
-  undo.CaptureValue(&offsets_, {"EcaWarehouse", "offsets_", site_id()});
-  undo.CaptureValue(&pending_delta_,
-                    {"EcaWarehouse", "pending_delta_", site_id()});
-  undo.CaptureValue(&pending_ids_,
-                    {"EcaWarehouse", "pending_ids_", site_id()});
-  undo.CaptureValue(&max_query_terms_,
-                    {"EcaWarehouse", "max_query_terms_", site_id()});
-  undo.CaptureValue(&total_query_terms_,
-                    {"EcaWarehouse", "total_query_terms_", site_id()});
-  undo.CaptureValue(&batch_installs_,
-                    {"EcaWarehouse", "batch_installs_", site_id()});
-}
-
 void EcaWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   auto write_term = [&w](const OffsetTerm& term) {
     w.WriteI32(term.sign);

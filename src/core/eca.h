@@ -88,19 +88,20 @@ class EcaWarehouse : public Warehouse {
   void MaybeStartNext();
   void TryInstall();
 
-  // Snapshot/restore: everything mutable below (compensation_ is config).
-  struct Saved {
-    std::optional<ActiveQuery> active;
-    std::map<int64_t, std::vector<OffsetTerm>> offsets;
-    Relation pending_delta;
-    std::vector<int64_t> pending_ids;
-    int64_t max_query_terms = 0;
-    int64_t total_query_terms = 0;
-    int64_t batch_installs = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, EcaWarehouse);
+    SWEEP_STATE(v, active_);
+    SWEEP_STATE(v, offsets_);
+    SWEEP_STATE(v, pending_delta_);
+    SWEEP_STATE(v, pending_ids_);
+    SWEEP_STATE(v, max_query_terms_);
+    SWEEP_STATE(v, total_query_terms_);
+    SWEEP_STATE(v, batch_installs_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

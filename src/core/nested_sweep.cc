@@ -157,42 +157,6 @@ void NestedSweepWarehouse::CompleteTopFrame() {
   Advance();
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-NestedSweepWarehouse::SaveAlgState() const {
-  Saved s;
-  s.stack = stack_;
-  s.batch_ids = batch_ids_;
-  s.compensations = compensations_;
-  s.nested_calls = nested_calls_;
-  s.forced_deferrals = forced_deferrals_;
-  s.max_depth_seen = max_depth_seen_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void NestedSweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  stack_ = s.stack;
-  batch_ids_ = s.batch_ids;
-  compensations_ = s.compensations;
-  nested_calls_ = s.nested_calls;
-  forced_deferrals_ = s.forced_deferrals;
-  max_depth_seen_ = s.max_depth_seen;
-}
-
-void NestedSweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&stack_, {"NestedSweepWarehouse", "stack_", site_id()});
-  undo.CaptureValue(&batch_ids_,
-                    {"NestedSweepWarehouse", "batch_ids_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"NestedSweepWarehouse", "compensations_", site_id()});
-  undo.CaptureValue(&nested_calls_,
-                    {"NestedSweepWarehouse", "nested_calls_", site_id()});
-  undo.CaptureValue(&forced_deferrals_,
-                    {"NestedSweepWarehouse", "forced_deferrals_", site_id()});
-  undo.CaptureValue(&max_depth_seen_,
-                    {"NestedSweepWarehouse", "max_depth_seen_", site_id()});
-}
-
 void NestedSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   w.WriteI64(static_cast<int64_t>(stack_.size()));
   for (const Frame& frame : stack_) {

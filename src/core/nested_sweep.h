@@ -78,18 +78,19 @@ class NestedSweepWarehouse : public Warehouse {
   // Completes the top frame: merge into the parent, or install at root.
   void CompleteTopFrame();
 
-  // Snapshot/restore: everything mutable below (options_ is immutable).
-  struct Saved {
-    std::vector<Frame> stack;
-    std::vector<int64_t> batch_ids;
-    int64_t compensations = 0;
-    int64_t nested_calls = 0;
-    int64_t forced_deferrals = 0;
-    int max_depth_seen = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, NestedSweepWarehouse);
+    SWEEP_STATE(v, stack_);
+    SWEEP_STATE(v, batch_ids_);
+    SWEEP_STATE(v, compensations_);
+    SWEEP_STATE(v, nested_calls_);
+    SWEEP_STATE(v, forced_deferrals_);
+    SWEEP_STATE(v, max_depth_seen_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

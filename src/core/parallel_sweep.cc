@@ -122,27 +122,6 @@ void ParallelSweepWarehouse::MaybeFinish() {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-ParallelSweepWarehouse::SaveAlgState() const {
-  Saved s;
-  s.active = active_;
-  s.compensations = compensations_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void ParallelSweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  compensations_ = s.compensations;
-}
-
-void ParallelSweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_,
-                    {"ParallelSweepWarehouse", "active_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"ParallelSweepWarehouse", "compensations_", site_id()});
-}
-
 void ParallelSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   auto write_side = [&w](const Side& side) {
     w.WriteBool(side.extend_left);

@@ -65,14 +65,15 @@ class ParallelSweepWarehouse : public Warehouse {
   void AdvanceSide(Side& side);
   void MaybeFinish();
 
-  // Snapshot/restore: everything mutable above.
-  struct Saved {
-    std::optional<ActiveSweep> active;
-    int64_t compensations = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, ParallelSweepWarehouse);
+    SWEEP_STATE(v, active_);
+    SWEEP_STATE(v, compensations_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

@@ -134,45 +134,6 @@ void PipelinedSweepWarehouse::TryInstallInOrder() {
   }
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-PipelinedSweepWarehouse::SaveAlgState() const {
-  Saved s;
-  s.received = received_;
-  s.started = started_;
-  s.inflight = inflight_;
-  s.compensations = compensations_;
-  s.max_observed_inflight = max_observed_inflight_;
-  s.malformed_answers_rejected = malformed_answers_rejected_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void PipelinedSweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  received_ = s.received;
-  started_ = s.started;
-  inflight_ = s.inflight;
-  compensations_ = s.compensations;
-  max_observed_inflight_ = s.max_observed_inflight;
-  malformed_answers_rejected_ = s.malformed_answers_rejected;
-}
-
-void PipelinedSweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&received_,
-                    {"PipelinedSweepWarehouse", "received_", site_id()});
-  undo.CaptureValue(&started_,
-                    {"PipelinedSweepWarehouse", "started_", site_id()});
-  undo.CaptureValue(&inflight_,
-                    {"PipelinedSweepWarehouse", "inflight_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"PipelinedSweepWarehouse", "compensations_", site_id()});
-  undo.CaptureValue(
-      &max_observed_inflight_,
-      {"PipelinedSweepWarehouse", "max_observed_inflight_", site_id()});
-  undo.CaptureValue(
-      &malformed_answers_rejected_,
-      {"PipelinedSweepWarehouse", "malformed_answers_rejected_", site_id()});
-}
-
 void PipelinedSweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   w.WriteI64(static_cast<int64_t>(received_.size()));
   for (const Update& update : received_) w.WriteUpdate(update);

@@ -82,18 +82,19 @@ class PipelinedSweepWarehouse : public Warehouse {
   Relation InterferingDelta(int rel, size_t after) const;
   void TryInstallInOrder();
 
-  // Snapshot/restore: everything mutable below (options_ is immutable).
-  struct Saved {
-    std::vector<Update> received;
-    size_t started = 0;
-    std::deque<Sweep> inflight;
-    int64_t compensations = 0;
-    int max_observed_inflight = 0;
-    int64_t malformed_answers_rejected = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, PipelinedSweepWarehouse);
+    SWEEP_STATE(v, received_);
+    SWEEP_STATE(v, started_);
+    SWEEP_STATE(v, inflight_);
+    SWEEP_STATE(v, compensations_);
+    SWEEP_STATE(v, max_observed_inflight_);
+    SWEEP_STATE(v, malformed_answers_rejected_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

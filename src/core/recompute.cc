@@ -58,26 +58,6 @@ void RecomputeWarehouse::HandleSnapshotAnswer(SnapshotAnswer answer) {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState>
-RecomputeWarehouse::SaveAlgState() const {
-  Saved s;
-  s.active = active_;
-  s.recomputations = recomputations_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void RecomputeWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  recomputations_ = s.recomputations;
-}
-
-void RecomputeWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_, {"RecomputeWarehouse", "active_", site_id()});
-  undo.CaptureValue(&recomputations_,
-                    {"RecomputeWarehouse", "recomputations_", site_id()});
-}
-
 void RecomputeWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   w.WriteBool(active_.has_value());
   if (active_.has_value()) {

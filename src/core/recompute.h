@@ -47,14 +47,15 @@ class RecomputeWarehouse : public Warehouse {
 
   void MaybeStartNext();
 
-  // Snapshot/restore: everything mutable above.
-  struct Saved {
-    std::optional<ActiveRecompute> active;
-    int64_t recomputations = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, RecomputeWarehouse);
+    SWEEP_STATE(v, active_);
+    SWEEP_STATE(v, recomputations_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

@@ -166,34 +166,6 @@ void StrobeWarehouse::TryInstall() {
   SWEEP_LOG(Debug) << "Strobe installed a quiescent batch";
 }
 
-std::shared_ptr<const Warehouse::AlgState> StrobeWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.internal_view = internal_view_;
-  s.pending = pending_;
-  s.action_list = action_list_;
-  s.batch_installs = batch_installs_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void StrobeWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  internal_view_ = s.internal_view;
-  pending_ = s.pending;
-  action_list_ = s.action_list;
-  batch_installs_ = s.batch_installs;
-}
-
-void StrobeWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&internal_view_,
-                    {"StrobeWarehouse", "internal_view_", site_id()});
-  undo.CaptureValue(&pending_, {"StrobeWarehouse", "pending_", site_id()});
-  undo.CaptureValue(&action_list_,
-                    {"StrobeWarehouse", "action_list_", site_id()});
-  undo.CaptureValue(&batch_installs_,
-                    {"StrobeWarehouse", "batch_installs_", site_id()});
-}
-
 void StrobeWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   w.WriteRelation(internal_view_);
   w.WriteI64(static_cast<int64_t>(pending_.size()));

@@ -78,16 +78,17 @@ class StrobeWarehouse : public Warehouse {
   void FinalizeQuery(size_t index);
   void TryInstall();
 
-  // Snapshot/restore: everything mutable above.
-  struct Saved {
-    Relation internal_view;
-    std::vector<PendingQuery> pending;
-    std::vector<Action> action_list;
-    int64_t batch_installs = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, StrobeWarehouse);
+    SWEEP_STATE(v, internal_view_);
+    SWEEP_STATE(v, pending_);
+    SWEEP_STATE(v, action_list_);
+    SWEEP_STATE(v, batch_installs_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

@@ -113,26 +113,6 @@ void SweepWarehouse::Finish() {
   MaybeStartNext();
 }
 
-std::shared_ptr<const Warehouse::AlgState> SweepWarehouse::SaveAlgState()
-    const {
-  Saved s;
-  s.active = active_;
-  s.compensations = compensations_;
-  return std::make_shared<TypedAlgState<Saved>>(std::move(s));
-}
-
-void SweepWarehouse::RestoreAlgState(const AlgState& state) {
-  const Saved& s = AlgStateAs<Saved>(state);
-  active_ = s.active;
-  compensations_ = s.compensations;
-}
-
-void SweepWarehouse::CaptureUndoAlgState(UndoLog& undo) {
-  undo.CaptureValue(&active_, {"SweepWarehouse", "active_", site_id()});
-  undo.CaptureValue(&compensations_,
-                    {"SweepWarehouse", "compensations_", site_id()});
-}
-
 void SweepWarehouse::SerializeAlgState(CheckpointWriter& w) const {
   w.WriteBool(active_.has_value());
   if (active_.has_value()) {

@@ -82,14 +82,15 @@ class SweepWarehouse : public Warehouse {
   void Advance();
   void Finish();
 
-  // Snapshot/restore: everything mutable above (options are immutable).
-  struct Saved {
-    std::optional<ActiveSweep> active;
-    int64_t compensations = 0;
-  };
-  std::shared_ptr<const AlgState> SaveAlgState() const override;
-  void RestoreAlgState(const AlgState& state) override;
-  void CaptureUndoAlgState(UndoLog& undo) override;
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, SweepWarehouse);
+    SWEEP_STATE(v, active_);
+    SWEEP_STATE(v, compensations_);
+  }
+  void VisitAlgState(StateVisitor& v) override { v.Visit(*this, site_id()); }
   void SerializeAlgState(CheckpointWriter& w) const override;
   void DeserializeAlgState(CheckpointReader& r) override;
 

@@ -44,73 +44,9 @@ void Warehouse::InitializeView(Relation initial_view) {
   view_ = std::move(initial_view);
 }
 
-void Warehouse::CaptureUndo(bool full) {
-  if (undo_ == nullptr) return;
-  // Effect atoms name the *declaring* class — the same resolution the
-  // static effects pass uses — so the soundness oracle compares like with
-  // like (src/verify/effects.h, tools/sweeplint/effects.py).
-  const int s = site_id_;
-  undo_->CaptureValue(&view_, {"Warehouse", "view_", s});
-  undo_->CaptureValue(&queue_, {"Warehouse", "queue_", s});
-  if (full) {
-    // Crash/recovery clears and rebuilds the logs from the checkpoint, so
-    // truncate-to-length would restore the wrong content.
-    undo_->CaptureValue(&arrival_log_, {"Warehouse", "arrival_log_", s});
-    undo_->CaptureValue(&installs_, {"Warehouse", "installs_", s});
-    undo_->CaptureValue(&install_time_log_,
-                        {"Warehouse", "install_time_log_", s});
-    undo_->CaptureValue(&foreign_skip_log_,
-                        {"Warehouse", "foreign_skip_log_", s});
-  } else {
-    undo_->CaptureTail(&arrival_log_, {"Warehouse", "arrival_log_", s});
-    undo_->CaptureTail(&installs_, {"Warehouse", "installs_", s});
-    undo_->CaptureTail(&install_time_log_,
-                       {"Warehouse", "install_time_log_", s});
-    undo_->CaptureTail(&foreign_skip_log_,
-                       {"Warehouse", "foreign_skip_log_", s});
-  }
-  undo_->CaptureValue(&updates_incorporated_,
-                      {"Warehouse", "updates_incorporated_", s});
-  undo_->CaptureValue(&queries_sent_, {"Warehouse", "queries_sent_", s});
-  undo_->CaptureValue(&next_query_id_, {"Warehouse", "next_query_id_", s});
-  undo_->CaptureValue(&update_watermarks_,
-                      {"Warehouse", "update_watermarks_", s});
-  undo_->CaptureValue(&seen_update_ids_,
-                      {"Warehouse", "seen_update_ids_", s});
-  undo_->CaptureValue(&pending_queries_,
-                      {"Warehouse", "pending_queries_", s});
-  undo_->CaptureValue(&duplicate_updates_ignored_,
-                      {"Warehouse", "duplicate_updates_ignored_", s});
-  undo_->CaptureValue(&stale_answers_ignored_,
-                      {"Warehouse", "stale_answers_ignored_", s});
-  undo_->CaptureValue(&queries_reissued_,
-                      {"Warehouse", "queries_reissued_", s});
-  undo_->CaptureValue(&foreign_updates_discarded_,
-                      {"Warehouse", "foreign_updates_discarded_", s});
-  undo_->CaptureValue(&durable_checkpoint_,
-                      {"Warehouse", "durable_checkpoint_", s});
-  undo_->CaptureValue(&durable_wal_, {"Warehouse", "durable_wal_", s});
-  undo_->CaptureValue(&durable_epoch_, {"Warehouse", "durable_epoch_", s});
-  undo_->CaptureValue(&epoch_, {"Warehouse", "epoch_", s});
-  undo_->CaptureValue(&crashed_, {"Warehouse", "crashed_", s});
-  undo_->CaptureValue(&recovering_, {"Warehouse", "recovering_", s});
-  undo_->CaptureValue(&timer_gen_, {"Warehouse", "timer_gen_", s});
-  undo_->CaptureValue(&recoveries_, {"Warehouse", "recoveries_", s});
-  undo_->CaptureValue(&wal_replayed_, {"Warehouse", "wal_replayed_", s});
-  undo_->CaptureValue(&checkpoints_taken_,
-                      {"Warehouse", "checkpoints_taken_", s});
-  undo_->CaptureValue(&checkpoint_bytes_max_,
-                      {"Warehouse", "checkpoint_bytes_max_", s});
-  undo_->CaptureValue(&pre_epoch_answers_ignored_,
-                      {"Warehouse", "pre_epoch_answers_ignored_", s});
-  undo_->CaptureValue(&max_query_attempts_,
-                      {"Warehouse", "max_query_attempts_", s});
-  CaptureUndoAlgState(*undo_);
-}
-
-void Warehouse::CaptureUndoAlgState(UndoLog&) {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement undo-log "
-                         "backtracking (CaptureUndoAlgState)");
+void Warehouse::VisitAlgState(StateVisitor&) {
+  SWEEP_CHECK_MSG(false, "this warehouse does not declare its algorithm "
+                         "state (VisitAlgState)");
 }
 
 void Warehouse::DescribeState(StateHasher& h) const {
@@ -141,7 +77,6 @@ void Warehouse::DescribeState(StateHasher& h) const {
 
 void Warehouse::OnMessage(int from, Message msg) {
   (void)from;
-  CaptureUndo(/*full=*/false);
   // Defense in depth: the network already drops deliveries to a crashed
   // site, so nothing should reach a dead warehouse.
   if (crashed_) return;
@@ -261,86 +196,6 @@ bool Warehouse::ResolveSnapshotPart(int64_t query_id, int relation) {
     pending_queries_.erase(it);
   }
   return true;
-}
-
-Warehouse::SavedState Warehouse::SaveState() const {
-  SavedState state;
-  state.view = view_;
-  state.queue = queue_;
-  state.arrival_log = arrival_log_;
-  state.installs = installs_;
-  state.updates_incorporated = updates_incorporated_;
-  state.queries_sent = queries_sent_;
-  state.next_query_id = next_query_id_;
-  state.update_watermarks = update_watermarks_;
-  state.seen_update_ids = seen_update_ids_;
-  state.pending_queries = pending_queries_;
-  state.duplicate_updates_ignored = duplicate_updates_ignored_;
-  state.stale_answers_ignored = stale_answers_ignored_;
-  state.queries_reissued = queries_reissued_;
-  state.foreign_skip_log = foreign_skip_log_;
-  state.foreign_updates_discarded = foreign_updates_discarded_;
-  state.install_time_log = install_time_log_;
-  state.durable_checkpoint = durable_checkpoint_;
-  state.durable_wal = durable_wal_;
-  state.durable_epoch = durable_epoch_;
-  state.epoch = epoch_;
-  state.crashed = crashed_;
-  state.recovering = recovering_;
-  state.timer_gen = timer_gen_;
-  state.recoveries = recoveries_;
-  state.wal_replayed = wal_replayed_;
-  state.checkpoints_taken = checkpoints_taken_;
-  state.checkpoint_bytes_max = checkpoint_bytes_max_;
-  state.pre_epoch_answers_ignored = pre_epoch_answers_ignored_;
-  state.max_query_attempts = max_query_attempts_;
-  state.alg = SaveAlgState();
-  return state;
-}
-
-void Warehouse::RestoreState(const SavedState& state) {
-  view_ = state.view;
-  queue_ = state.queue;
-  arrival_log_ = state.arrival_log;
-  installs_ = state.installs;
-  updates_incorporated_ = state.updates_incorporated;
-  queries_sent_ = state.queries_sent;
-  next_query_id_ = state.next_query_id;
-  update_watermarks_ = state.update_watermarks;
-  seen_update_ids_ = state.seen_update_ids;
-  pending_queries_ = state.pending_queries;
-  duplicate_updates_ignored_ = state.duplicate_updates_ignored;
-  stale_answers_ignored_ = state.stale_answers_ignored;
-  queries_reissued_ = state.queries_reissued;
-  foreign_skip_log_ = state.foreign_skip_log;
-  foreign_updates_discarded_ = state.foreign_updates_discarded;
-  install_time_log_ = state.install_time_log;
-  durable_checkpoint_ = state.durable_checkpoint;
-  durable_wal_ = state.durable_wal;
-  durable_epoch_ = state.durable_epoch;
-  epoch_ = state.epoch;
-  crashed_ = state.crashed;
-  recovering_ = state.recovering;
-  timer_gen_ = state.timer_gen;
-  recoveries_ = state.recoveries;
-  wal_replayed_ = state.wal_replayed;
-  checkpoints_taken_ = state.checkpoints_taken;
-  checkpoint_bytes_max_ = state.checkpoint_bytes_max;
-  pre_epoch_answers_ignored_ = state.pre_epoch_answers_ignored;
-  max_query_attempts_ = state.max_query_attempts;
-  SWEEP_CHECK(state.alg != nullptr);
-  RestoreAlgState(*state.alg);
-}
-
-std::shared_ptr<const Warehouse::AlgState> Warehouse::SaveAlgState() const {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement snapshot/"
-                         "restore (SaveAlgState)");
-  return nullptr;
-}
-
-void Warehouse::RestoreAlgState(const AlgState&) {
-  SWEEP_CHECK_MSG(false, "this warehouse does not implement snapshot/"
-                         "restore (RestoreAlgState)");
 }
 
 void Warehouse::SerializeAlgState(CheckpointWriter&) const {
@@ -521,7 +376,6 @@ void Warehouse::StampEpoch(Message* request, int64_t epoch) {
 }
 
 void Warehouse::Crash() {
-  CaptureUndo(/*full=*/true);
   SWEEP_CHECK_MSG(DurabilityOn(),
                   "warehouse crash without a durable store (set "
                   "Options::checkpoint_every)");
@@ -532,7 +386,6 @@ void Warehouse::Crash() {
 }
 
 void Warehouse::Restart() {
-  CaptureUndo(/*full=*/true);
   SWEEP_CHECK_MSG(crashed_, "warehouse restarted while up");
   network_->RestartSite(site_id_);
   crashed_ = false;
@@ -540,7 +393,6 @@ void Warehouse::Restart() {
 }
 
 void Warehouse::CrashAndRecover() {
-  CaptureUndo(/*full=*/true);
   SWEEP_CHECK_MSG(DurabilityOn(),
                   "warehouse crash without a durable store (set "
                   "Options::checkpoint_every)");
@@ -632,7 +484,6 @@ void Warehouse::ArmQueryTimer(int64_t query_id) {
   // channel and cannot perturb per-link FIFO order.
   network_->simulator()->Schedule(
       delay, EventLabel{}, timer_digest, [this, query_id, gen]() {
-    CaptureUndo(/*full=*/false);
     // A crashed warehouse sends nothing; a timer armed by a dead
     // incarnation stays dead (recovery re-armed its own).
     if (crashed_ || gen != timer_gen_) return;

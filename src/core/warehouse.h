@@ -36,7 +36,6 @@
 #include "common/check.h"
 #include "common/fingerprint.h"
 #include "common/snapshot.h"
-#include "common/undo.h"
 #include "core/checkpoint.h"
 #include "relational/partial_delta.h"
 #include "relational/relation.h"
@@ -244,9 +243,9 @@ class Warehouse : public Site {
   int64_t max_query_attempts() const { return max_query_attempts_; }
 
   // The serialized-protocol-state half of the durable store; public so
-  // tests can round-trip it. Covers exactly the SaveState member set
-  // (lint_invariants.py's checkpoint-coverage rule keeps it that way)
-  // plus the algorithm's SerializeAlgState half.
+  // tests can round-trip it. Covers exactly the VisitState member set
+  // (sweeplint's checkpoint-coverage rule keeps it that way) plus the
+  // algorithm's SerializeAlgState half.
   std::string SerializeCheckpoint() const;
   void RestoreFromCheckpoint(const std::string& bytes);
 
@@ -256,128 +255,38 @@ class Warehouse : public Site {
   // chaos tests assert.
   size_t dedup_state_size() const { return seen_update_ids_.size(); }
 
-  // --- Snapshot/restore (schedule-space explorer) -----------------------
+  // --- Declared state (schedule-space explorer) -------------------------
   //
-  // SaveState copies the algorithm-independent state (view, queues, logs,
-  // dedup and query bookkeeping) and delegates the algorithm-specific
-  // half to the Save/RestoreAlgState virtuals each maintenance algorithm
-  // implements. Restoring rewinds the warehouse to the save point;
-  // combined with the simulator/network/source snapshots this lets the
-  // explorer backtrack to a decision point without replaying the prefix.
-
- private:
-  // Bookkeeping for idempotent query re-issue: remembers the request and
-  // its target site until the answer arrives. The request copy is only
-  // kept when timeouts are enabled. Snapshot requests to a multi-relation
-  // site are answered by several SnapshotAnswers sharing the query id
-  // (one per hosted relation); such a query stays pending until every
-  // expected relation has answered, and `relations_seen` detects
-  // re-delivered parts when a re-issue races the original answers.
-  // (Defined here, ahead of the private section, so SavedState below can
-  // hold a map of them.)
-  struct PendingQuery {
-    Message request;
-    int target_site = -1;
-    int attempts = 1;
-    int expected_answers = 1;
-    std::unordered_set<int> relations_seen;
-
-    bool operator==(const PendingQuery&) const = default;
-  };
-
- public:
-  // Type-erased algorithm-specific half of a warehouse snapshot.
-  struct AlgState {
-    virtual ~AlgState() = default;
-  };
-
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class Warehouse;
-    Relation view;
-    std::deque<Update> queue;
-    std::vector<std::pair<int64_t, SimTime>> arrival_log;
-    std::vector<InstallRecord> installs;
-    int64_t updates_incorporated = 0;
-    int64_t queries_sent = 0;
-    int64_t next_query_id = 0;
-    std::vector<int64_t> update_watermarks;
-    std::unordered_set<int64_t> seen_update_ids;
-    std::map<int64_t, PendingQuery> pending_queries;
-    int64_t duplicate_updates_ignored = 0;
-    int64_t stale_answers_ignored = 0;
-    int64_t queries_reissued = 0;
-    std::vector<std::pair<int64_t, SimTime>> foreign_skip_log;
-    int64_t foreign_updates_discarded = 0;
-    std::vector<std::pair<int64_t, SimTime>> install_time_log;
-    std::string durable_checkpoint;
-    std::vector<Update> durable_wal;
-    int64_t durable_epoch = 0;
-    int64_t epoch = 0;
-    bool crashed = false;
-    bool recovering = false;
-    int64_t timer_gen = 0;
-    int64_t recoveries = 0;
-    int64_t wal_replayed = 0;
-    int64_t checkpoints_taken = 0;
-    int64_t checkpoint_bytes_max = 0;
-    int64_t pre_epoch_answers_ignored = 0;
-    int64_t max_query_attempts = 0;
-    std::shared_ptr<const AlgState> alg;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
-
-  // Installs the undo log the mutation entry points capture into (see
-  // common/undo.h). Null detaches.
-  void AttachUndo(UndoLog* undo) { undo_ = undo; }
+  // Walks the algorithm-independent members (view, queues, logs, dedup
+  // and query bookkeeping, the durable store), then the algorithm's own
+  // declaration through VisitAlgState. The explorer snapshots, restores
+  // and diffs a warehouse with this walk (common/snapshot.h); combined
+  // with the simulator, network and source walks it backtracks to a
+  // decision point without replaying the prefix.
+  void VisitFullState(StateVisitor& v) {
+    v.Visit(*this, site_id_);
+    VisitAlgState(v);
+  }
 
   // Absorbs the warehouse state into `h`: the canonical checkpoint bytes
-  // (which cover the SaveState member set plus the algorithm half, with
+  // (which cover the VisitState member set plus the algorithm half, with
   // sorted iteration everywhere) and the checkpoint-exempt durability /
   // recovery members. Identical in exact and canonical mode.
   void DescribeState(StateHasher& h) const;
 
  protected:
-  // Algorithm-specific undo hook: value-captures exactly the members
-  // SaveAlgState copies (sweeplint's undo-coverage rule keeps the sets in
-  // sync). The default fails loudly, like SaveAlgState.
-  virtual void CaptureUndoAlgState(UndoLog& undo);
-
-  // Algorithm-specific snapshot hooks. Every maintenance algorithm in
-  // src/core overrides both; the defaults fail loudly so a new algorithm
-  // cannot silently explore with half-restored state. (Restores receive
-  // only AlgState objects their own SaveAlgState produced.)
-  virtual std::shared_ptr<const AlgState> SaveAlgState() const;
-  virtual void RestoreAlgState(const AlgState& state);
+  // The algorithm's declared members. Every maintenance algorithm in
+  // src/core overrides it as `v.Visit(*this, site_id())` over its own
+  // VisitState; the default fails loudly so a new algorithm cannot
+  // silently explore with half-restored state.
+  virtual void VisitAlgState(StateVisitor& v);
 
   // Durable-checkpoint hooks: the byte-codec counterparts of
-  // Save/RestoreAlgState, covering the same member sets (enforced by
-  // lint_invariants.py's checkpoint-coverage rule). The defaults fail
-  // loudly so an algorithm cannot silently run with a half-durable
-  // warehouse.
+  // VisitAlgState, covering the same member sets (enforced by sweeplint's
+  // checkpoint-coverage rule). The defaults fail loudly so an algorithm
+  // cannot silently run with a half-durable warehouse.
   virtual void SerializeAlgState(CheckpointWriter& w) const;
   virtual void DeserializeAlgState(CheckpointReader& r);
-
-  // Convenience holder for a subclass's saved members.
-  template <typename T>
-  struct TypedAlgState : AlgState {
-    explicit TypedAlgState(T d) : data(std::move(d)) {}
-    T data;
-  };
-  // Downcast helper for RestoreAlgState implementations.
-  template <typename T>
-  static const T& AlgStateAs(const AlgState& state) {
-    const auto* typed = dynamic_cast<const TypedAlgState<T>*>(&state);
-    SWEEP_CHECK_MSG(typed != nullptr,
-                    "algorithm snapshot type mismatch on restore");
-    return typed->data;
-  }
 
   // Invoked after an update was appended to the queue.
   virtual void HandleUpdateArrival() = 0;
@@ -432,13 +341,60 @@ class Warehouse : public Site {
   int source_site(int rel) const;
 
  private:
-  // Records the SaveState member set into the attached undo log; called
-  // at the top of every mutation entry point. Normal eras record the
-  // append-only logs as truncate-to-length tails; `full` eras (the
-  // crash/recovery path, whose RestoreFromCheckpoint clears and rebuilds
-  // them) value-capture everything. The durable store is always
-  // value-captured: TakeCheckpoint truncates the WAL mid-event.
-  void CaptureUndo(bool full);
+  friend class StateVisitor;
+
+  // Bookkeeping for idempotent query re-issue: remembers the request and
+  // its target site until the answer arrives. The request copy is only
+  // kept when timeouts are enabled. Snapshot requests to a multi-relation
+  // site are answered by several SnapshotAnswers sharing the query id
+  // (one per hosted relation); such a query stays pending until every
+  // expected relation has answered, and `relations_seen` detects
+  // re-delivered parts when a re-issue races the original answers.
+  struct PendingQuery {
+    Message request;
+    int target_site = -1;
+    int attempts = 1;
+    int expected_answers = 1;
+    std::unordered_set<int> relations_seen;
+
+    bool operator==(const PendingQuery&) const = default;
+  };
+
+  // The declared state (common/snapshot.h); the other members are
+  // exempt where they are declared.
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, Warehouse);
+    SWEEP_STATE(v, view_);
+    SWEEP_STATE(v, queue_);
+    SWEEP_STATE(v, arrival_log_);
+    SWEEP_STATE(v, installs_);
+    SWEEP_STATE(v, updates_incorporated_);
+    SWEEP_STATE(v, queries_sent_);
+    SWEEP_STATE(v, next_query_id_);
+    SWEEP_STATE(v, update_watermarks_);
+    SWEEP_STATE(v, seen_update_ids_);
+    SWEEP_STATE(v, pending_queries_);
+    SWEEP_STATE(v, duplicate_updates_ignored_);
+    SWEEP_STATE(v, stale_answers_ignored_);
+    SWEEP_STATE(v, queries_reissued_);
+    SWEEP_STATE(v, foreign_skip_log_);
+    SWEEP_STATE(v, foreign_updates_discarded_);
+    SWEEP_STATE(v, install_time_log_);
+    SWEEP_STATE(v, durable_checkpoint_);
+    SWEEP_STATE(v, durable_wal_);
+    SWEEP_STATE(v, durable_epoch_);
+    SWEEP_STATE(v, epoch_);
+    SWEEP_STATE(v, crashed_);
+    SWEEP_STATE(v, recovering_);
+    SWEEP_STATE(v, timer_gen_);
+    SWEEP_STATE(v, recoveries_);
+    SWEEP_STATE(v, wal_replayed_);
+    SWEEP_STATE(v, checkpoints_taken_);
+    SWEEP_STATE(v, checkpoint_bytes_max_);
+    SWEEP_STATE(v, pre_epoch_answers_ignored_);
+    SWEEP_STATE(v, max_query_attempts_);
+  }
 
   void RecordInstall(std::vector<int64_t> update_ids);
 
@@ -522,8 +478,8 @@ class Warehouse : public Site {
   // checkpoint is cut lazily before the first arrival, then re-cut every
   // checkpoint_every WAL appends; the WAL holds the updates accepted
   // since. durable_epoch_ lives here conceptually too (it must survive
-  // repeated crashes) but is kept as a plain member for the snapshot
-  // macro's benefit.
+  // repeated crashes) but is kept as a plain member so it is declared
+  // like every other.
   std::string durable_checkpoint_;
   std::vector<Update> durable_wal_;
   int64_t durable_epoch_ = 0;
@@ -548,10 +504,6 @@ class Warehouse : public Site {
       "state from it (e.g. MaintainedAggregate) are outside the explored "
       "system by design")
   InstallObserver observer_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
-  UndoLog* undo_ = nullptr;
 };
 
 }  // namespace sweepmv

@@ -107,7 +107,6 @@ void Network::ConfigureSessionIfNeeded(LinkState& link) {
 }
 
 void Network::ArmControlledDrop() {
-  CaptureUndo();
   ++controlled_drops_armed_;
 }
 
@@ -117,54 +116,6 @@ void Network::PrecreateLinks(const std::vector<int>& site_ids) {
       if (from != to) LinkFor(from, to);
     }
   }
-}
-
-void Network::CaptureUndo() {
-  if (undo_ == nullptr) return;
-  undo_->CaptureValue(&stats_, {"Network", "stats_", -1});
-  undo_->CaptureValue(&rng_, {"Network", "rng_", -1});
-  undo_->CaptureValue(&fault_root_, {"Network", "fault_root_", -1});
-  undo_->CaptureValue(&controlled_drops_armed_,
-                      {"Network", "controlled_drops_armed_", -1});
-  // Mirror of RestoreState's link handling: restore surviving channels,
-  // erase links created after the watermark so a replayed first send
-  // re-forks the same per-link RNG from the restored roots.
-  std::map<std::pair<int, int>, Channel> channels;
-  for (const auto& [key, link] : links_) {
-    channels.emplace(key, link.channel);
-  }
-  // The effect probe attributes link mutations to the *sending* site:
-  // links_ is keyed (from, to) and only Send() mutates a channel, so the
-  // static table binds "links_" atoms to the sender.
-  auto changed = [](const Channel& a, const Channel& b) {
-    return a.messages_sent() != b.messages_sent() ||
-           a.last_arrival() != b.last_arrival() ||
-           a.rng_state() != b.rng_state();
-  };
-  auto probe_channels = channels;
-  undo_->Capture(
-      &links_,
-      [this, channels = std::move(channels)]() {
-        for (auto it = links_.begin(); it != links_.end();) {
-          auto saved = channels.find(it->first);
-          if (saved == channels.end()) {
-            it = links_.erase(it);
-          } else {
-            it->second.channel = saved->second;
-            ++it;
-          }
-        }
-      },
-      [this, changed, channels = std::move(probe_channels)](
-          std::vector<EffectAtom>& out) {
-        for (const auto& [key, link] : links_) {
-          auto saved = channels.find(key);
-          if (saved == channels.end() ||
-              changed(link.channel, saved->second)) {
-            out.push_back(EffectAtom{"Network", "links_", key.first});
-          }
-        }
-      });
 }
 
 void Network::DescribeState(StateHasher& h) const {
@@ -190,7 +141,6 @@ void Network::DescribeState(StateHasher& h) const {
 void Network::Send(int from, int to, Message msg) {
   auto site_it = sites_.find(to);
   SWEEP_CHECK_MSG(site_it != sites_.end(), "unknown destination site");
-  CaptureUndo();
 
   if (crashed_.count(from) != 0) {
     // A crashed site cannot transmit (defense in depth; crashed sites
@@ -440,36 +390,47 @@ void Network::OnRetransmitTimer(int from, int to, int64_t gen) {
   });
 }
 
-Network::SavedState Network::SaveState() const {
-  SWEEP_CHECK_MSG(!default_faults_.has_value(),
-                  "network snapshots require pristine links");
-  SavedState state;
-  state.stats = stats_;
-  state.rng = rng_;
-  state.fault_root = fault_root_;
-  state.controlled_drops_armed = controlled_drops_armed_;
-  for (const auto& [key, link] : links_) {
+Network::Channels Network::LinksHook::Save(const Links& links) const {
+  Channels channels;
+  for (const auto& [key, link] : links) {
     SWEEP_CHECK_MSG(!link.faults.has_value() && !link.session_configured,
                     "network snapshots require pristine links");
-    state.channels.emplace(key, link.channel);
+    channels.emplace(key, link.channel);
   }
-  return state;
+  return channels;
 }
 
-void Network::RestoreState(const SavedState& state) {
-  stats_ = state.stats;
-  rng_ = state.rng;
-  fault_root_ = state.fault_root;
-  controlled_drops_armed_ = state.controlled_drops_armed;
-  for (auto it = links_.begin(); it != links_.end();) {
-    auto saved = state.channels.find(it->first);
-    if (saved == state.channels.end()) {
+void Network::LinksHook::Restore(Links& links, const Channels& saved) const {
+  for (auto it = links.begin(); it != links.end();) {
+    auto channel = saved.find(it->first);
+    if (channel == saved.end()) {
       // Link created after the save point; drop it so a replayed first
       // send re-forks the same per-link RNG from the restored roots.
-      it = links_.erase(it);
+      it = links.erase(it);
     } else {
-      it->second.channel = saved->second;
+      it->second.channel = channel->second;
       ++it;
+    }
+  }
+}
+
+void Network::LinksHook::Diff(const Links& links, const Channels& saved,
+                              EffectAtom atom,
+                              std::vector<EffectAtom>* out) const {
+  auto changed = [](const Channel& a, const Channel& b) {
+    return a.messages_sent() != b.messages_sent() ||
+           a.last_arrival() != b.last_arrival() ||
+           a.rng_state() != b.rng_state();
+  };
+  // Keyed (from, to), so one sender's links are adjacent: one atom each.
+  int last_sender = -1;
+  for (const auto& [key, link] : links) {
+    auto channel = saved.find(key);
+    if (key.first != last_sender &&
+        (channel == saved.end() || changed(link.channel, channel->second))) {
+      last_sender = key.first;
+      atom.site = key.first;
+      out->push_back(atom);
     }
   }
 }

@@ -34,7 +34,6 @@
 #include "common/fingerprint.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
-#include "common/undo.h"
 #include "sim/channel.h"
 #include "sim/fault_model.h"
 #include "sim/latency.h"
@@ -178,38 +177,9 @@ class Network {
 
   Simulator* simulator() { return sim_; }
 
-  // --- Snapshot/restore (pristine links only) ---------------------------
-  //
-  // Copies the traffic stats, the latency/fault RNG roots, and every
-  // link's channel state (FIFO clamp, message counter, jitter RNG).
-  // Only legal while no link carries a fault model or live session state
-  // — which is exactly the schedule-space explorer's regime (controlled
-  // runs are pristine by construction). Restoring erases links that were
-  // created after the save point, so replayed sends re-derive identical
-  // channel RNGs and arrival times.
-  class SavedState {
-   public:
-    SavedState() = default;
+  // --- Fingerprint (pristine links only) --------------------------------
 
-   private:
-    friend class Network;
-    NetworkStats stats;
-    Rng rng{0};
-    Rng fault_root{0};
-    int64_t controlled_drops_armed = 0;
-    std::map<std::pair<int, int>, Channel> channels;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (pristine links only) ---------------------
-
-  // Installs the undo log Send/ArmControlledDrop capture into (see
-  // common/undo.h). Null detaches. Same pristine-links precondition as
-  // SaveState.
-  void AttachUndo(UndoLog* undo) { undo_ = undo; }
-
-  // Absorbs the network's SaveState member set into `h` in keyed link
+  // Absorbs the network's VisitState member set into `h` in keyed link
   // order. Identical in exact and canonical mode: traffic counters and
   // per-link channel state are order-independent facts about the set of
   // sends performed, so they canonicalize as-is.
@@ -237,10 +207,40 @@ class Network {
   };
 
   LinkState& LinkFor(int from, int to);
-  // Records the SaveState member set (stats, RNG roots, armed drops,
-  // per-link channels incl. links created later) into the attached undo
-  // log. Called at the top of every controlled-mode mutation entry point.
-  void CaptureUndo();
+
+  // links_ saves only each link's channel state (FIFO clamp, message
+  // counter, jitter RNG), which is all a pristine link carries; Save
+  // CHECKs the link really is pristine. Restore rewinds the surviving
+  // channels and erases links created after the save point, so replayed
+  // sends re-derive identical channel RNGs and arrival times. Diff
+  // reports each changed link as links_ at its *sending* site: links_ is
+  // keyed (from, to) and only Send() mutates a channel, so the static
+  // effect table binds links_ atoms to the sender.
+  using Links = std::map<std::pair<int, int>, LinkState>;
+  using Channels = std::map<std::pair<int, int>, Channel>;
+  struct LinksHook {
+    Channels Save(const Links& links) const;
+    void Restore(Links& links, const Channels& saved) const;
+    void Diff(const Links& links, const Channels& saved, EffectAtom atom,
+              std::vector<EffectAtom>* out) const;
+  };
+
+  // The declared state (common/snapshot.h): traffic stats, the latency
+  // and fault RNG roots, armed drops and every link's channel. Only legal
+  // while no link carries a fault model or live session state, which is
+  // exactly the explorer's regime (controlled runs are pristine by
+  // construction).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, Network);
+    SWEEP_STATE(v, stats_);
+    SWEEP_STATE(v, rng_);
+    SWEEP_STATE(v, fault_root_);
+    SWEEP_STATE(v, controlled_drops_armed_);
+    SWEEP_STATE_HOOK(v, links_, LinksHook{});
+  }
+
   void ConfigureSessionIfNeeded(LinkState& link);
   SessionOptions ResolvedSessionOptions(const LinkState& link) const;
 
@@ -275,8 +275,9 @@ class Network {
   // streams of existing runs.
   Rng fault_root_;
   SWEEP_SNAPSHOT_EXEMPT(
-      "SaveState CHECKs no default fault model is armed; controlled "
-      "exploration predates any SetDefaultFaults call")
+      "a default fault model reaches every link, and the links_ hook "
+      "CHECKs each is pristine; controlled exploration predates any "
+      "SetDefaultFaults call")
   std::optional<FaultModel> default_faults_;
   SWEEP_SNAPSHOT_EXEMPT(
       "session-layer on/off switch, configuration fixed before the run")
@@ -290,7 +291,8 @@ class Network {
   std::map<int, Site*> sites_;
   SWEEP_SNAPSHOT_EXEMPT(
       "crash injection is fault machinery the controlled harness never "
-      "drives — the same pristine-links precondition SaveState CHECKs")
+      "drives — the same pristine-links precondition the links_ hook "
+      "CHECKs")
   std::set<int> crashed_;
   std::map<std::pair<int, int>, LinkState> links_;
   NetworkStats stats_;
@@ -300,10 +302,6 @@ class Network {
       "observer hook owned by the harness; outlives and never depends on "
       "the explored prefix")
   Tap tap_;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
-  UndoLog* undo_ = nullptr;
 };
 
 }  // namespace sweepmv

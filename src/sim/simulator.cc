@@ -58,7 +58,6 @@ void Simulator::ScheduleAt(SimTime when, EventLabel label, uint64_t digest,
                            std::function<void()> fn) {
   SWEEP_CHECK_MSG(when >= now_ || controlled(),
                   "cannot schedule in the past");
-  CaptureUndo();
   Event event{when, next_seq_++, label, digest, std::move(fn)};
   if (controlled()) {
     pending_.push_back(std::move(event));
@@ -67,38 +66,11 @@ void Simulator::ScheduleAt(SimTime when, EventLabel label, uint64_t digest,
   }
 }
 
-void Simulator::CaptureUndo() {
-  if (undo_ == nullptr) return;
-  // The pending-event multiset *is* the schedule structure the explorer
-  // enumerates; the oracle exempts the Simulator class wholesale (every
-  // handler appends events, and channel append order is already the
-  // commutativity question the independence relation answers).
-  undo_->CaptureValue(&now_, {"Simulator", "now_", -1});
-  undo_->CaptureValue(&next_seq_, {"Simulator", "next_seq_", -1});
-  undo_->CaptureValue(&pending_, {"Simulator", "pending_", -1});
-}
-
 void Simulator::SetScheduler(Scheduler* scheduler) {
   SWEEP_CHECK(scheduler != nullptr);
   SWEEP_CHECK_MSG(queue_.empty() && pending_.empty() && next_seq_ == 0,
                   "SetScheduler must precede all scheduling");
   scheduler_ = scheduler;
-}
-
-Simulator::SavedState Simulator::SaveState() const {
-  SWEEP_CHECK_MSG(controlled(), "SaveState is controlled-mode only");
-  SavedState state;
-  state.now = now_;
-  state.next_seq = next_seq_;
-  state.pending = pending_;
-  return state;
-}
-
-void Simulator::RestoreState(const SavedState& state) {
-  SWEEP_CHECK_MSG(controlled(), "RestoreState is controlled-mode only");
-  now_ = state.now;
-  next_seq_ = state.next_seq;
-  pending_ = state.pending;
 }
 
 std::vector<size_t> Simulator::ReadyIndices() const {
@@ -207,7 +179,6 @@ bool Simulator::StepControlled() {
   }
   size_t pick = scheduler_->Pick(ready);
   SWEEP_CHECK_MSG(pick < ready.size(), "scheduler picked out of range");
-  CaptureUndo();
   size_t idx = indices[pick];
   Event ev = std::move(pending_[idx]);
   pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(idx));

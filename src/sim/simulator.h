@@ -26,7 +26,6 @@
 
 #include "common/fingerprint.h"
 #include "common/snapshot.h"
-#include "common/undo.h"
 #include "sim/time.h"
 
 namespace sweepmv {
@@ -75,7 +74,6 @@ class Scheduler {
 };
 
 class Simulator {
-  // Declared before the public section so SavedState can hold events.
   struct Event {
     SimTime when;
     int64_t seq;
@@ -86,8 +84,8 @@ class Simulator {
     uint64_t digest = 0;
     std::function<void()> fn;
 
-    // Identity comparison for the undo log's effect probes (the closure
-    // is not comparable; (when, seq) already identifies an event).
+    // Identity comparison for the declared-state diff (the closure is
+    // not comparable; (when, seq) already identifies an event).
     bool operator==(const Event& other) const {
       return when == other.when && seq == other.seq &&
              label == other.label && digest == other.digest;
@@ -152,33 +150,7 @@ class Simulator {
     return controlled() ? pending_.size() : queue_.size();
   }
 
-  // --- Snapshot/restore (controlled mode only) --------------------------
-  //
-  // SaveState copies the clock, the sequence counter, and every pending
-  // event (std::function closures are copied; the site/network objects
-  // they point into must be restored alongside — see
-  // ControlledSystem::SaveState). RestoreState rewinds the simulator to
-  // the save point; the schedule-space explorer uses the pair to back-
-  // track to a decision point without replaying the whole prefix.
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class Simulator;
-    SimTime now = 0;
-    int64_t next_seq = 0;
-    std::vector<Event> pending;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (controlled mode only) --------------------
-
-  // Installs the undo log that every subsequent mutation entry point
-  // value-captures into (first-touch-per-era; see common/undo.h). Null
-  // detaches.
-  void AttachUndo(UndoLog* undo) { undo_ = undo; }
+  // --- Fingerprint (controlled mode only) -------------------------------
 
   // Absorbs the simulator's state into `h`. `exact` mode (the oracle
   // dump) includes absolute sequence numbers and orders pending events by
@@ -194,14 +166,25 @@ class Simulator {
   // (parallel to the candidate list Ready() builds).
   std::vector<size_t> ReadyIndices() const;
   bool StepControlled();
-  // Records now_/next_seq_/pending_ into the attached undo log. Called at
-  // the top of every controlled-mode mutation entry point.
-  void CaptureUndo();
+
+  // The declared state (common/snapshot.h): the clock, the sequence
+  // counter and every pending event. The closures are copied; the sites
+  // and network they point into are rewound alongside (see
+  // ControlledSystem::VisitState).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_CHECK_MSG(controlled(), "simulator state is controlled-mode only");
+    SWEEP_STATE_CLASS(v, Simulator);
+    SWEEP_STATE(v, now_);
+    SWEEP_STATE(v, next_seq_);
+    SWEEP_STATE(v, pending_);
+  }
 
   SimTime now_ = 0;
   int64_t next_seq_ = 0;
   SWEEP_SNAPSHOT_EXEMPT(
-      "free-run-mode queue, always empty under a scheduler; SaveState "
+      "free-run-mode queue, always empty under a scheduler; VisitState "
       "CHECKs controlled mode, where every event lives in pending_")
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   // Controlled-mode store (unsorted; the ready-set computation orders it).
@@ -210,10 +193,6 @@ class Simulator {
       "wiring, not state: the explorer that drives save/restore owns the "
       "scheduler and keeps it installed across backtracks")
   Scheduler* scheduler_ = nullptr;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
-  UndoLog* undo_ = nullptr;
 };
 
 }  // namespace sweepmv

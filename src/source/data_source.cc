@@ -34,29 +34,6 @@ DataSource::DataSource(int site_id, int relation_index, Relation initial,
   }
 }
 
-void DataSource::CaptureUndo() {
-  if (undo_ == nullptr) return;
-  const int s = site_id_;
-  ids_->CaptureUndo(*undo_);
-  // store_'s indexes are a pure cache over the relation; the custom entry
-  // restores the relation and rebuilds them, exactly like RestoreState.
-  undo_->Capture(
-      &store_,
-      [this, saved = store_.relation()]() { store_.RestoreRelation(saved); },
-      [this, s, saved = store_.relation()](std::vector<EffectAtom>& out) {
-        if (!(store_.relation() == saved)) {
-          out.push_back(EffectAtom{"DataSource", "store_", s});
-        }
-      });
-  undo_->CaptureValue(&query_stats_, {"DataSource", "query_stats_", s});
-  undo_->CaptureValue(&log_, {"DataSource", "log_", s});
-  undo_->CaptureValue(&queries_answered_,
-                      {"DataSource", "queries_answered_", s});
-  undo_->CaptureValue(&crashed_, {"DataSource", "crashed_", s});
-  undo_->CaptureValue(&updates_replayed_,
-                      {"DataSource", "updates_replayed_", s});
-}
-
 void DataSource::DescribeState(StateHasher& h) const {
   h.I64("src.site", site_id_);
   AbsorbRelation(h, "src.relation", store_.relation());
@@ -69,7 +46,6 @@ void DataSource::DescribeState(StateHasher& h) const {
 }
 
 int64_t DataSource::ApplyTransaction(const std::vector<UpdateOp>& ops) {
-  CaptureUndo();
   // A crashed site executes no transactions; the workload simply does not
   // happen here until the site is back.
   if (crashed_) return -1;
@@ -103,7 +79,6 @@ void DataSource::AddWarehouse(int warehouse_site) {
 }
 
 void DataSource::Crash() {
-  CaptureUndo();
   SWEEP_CHECK_MSG(!crashed_, "source is already crashed");
   crashed_ = true;
   network_->CrashSite(site_id_);
@@ -111,7 +86,6 @@ void DataSource::Crash() {
 }
 
 void DataSource::Restart() {
-  CaptureUndo();
   SWEEP_CHECK_MSG(crashed_, "source is not crashed");
   crashed_ = false;
   network_->RestartSite(site_id_);
@@ -162,26 +136,6 @@ StorageStats DataSource::storage_stats() const {
   return stats;
 }
 
-DataSource::SavedState DataSource::SaveState() const {
-  SavedState state;
-  state.relation = store_.relation();
-  state.query_stats = query_stats_;
-  state.log = log_;
-  state.queries_answered = queries_answered_;
-  state.crashed = crashed_;
-  state.updates_replayed = updates_replayed_;
-  return state;
-}
-
-void DataSource::RestoreState(const SavedState& state) {
-  store_.RestoreRelation(state.relation);
-  query_stats_ = state.query_stats;
-  log_ = state.log;
-  queries_answered_ = state.queries_answered;
-  crashed_ = state.crashed;
-  updates_replayed_ = state.updates_replayed;
-}
-
 int64_t DataSource::ApplyInsert(Tuple t) {
   return ApplyTransaction({UpdateOp::Insert(std::move(t))});
 }
@@ -191,7 +145,6 @@ int64_t DataSource::ApplyDelete(Tuple t) {
 }
 
 void DataSource::OnMessage(int from, Message msg) {
-  CaptureUndo();
   // The network drops deliveries to crashed sites; this guard is defense
   // in depth.
   if (crashed_) return;

@@ -18,7 +18,6 @@
 
 #include "common/fingerprint.h"
 #include "common/snapshot.h"
-#include "common/undo.h"
 #include "relational/relation.h"
 #include "relational/view_def.h"
 #include "sim/network.h"
@@ -35,19 +34,18 @@ class UpdateIdGenerator {
  public:
   int64_t Next() { return next_++; }
 
-  // Snapshot support: the counter is part of the schedule-determined
-  // system state the explorer rewinds.
-  int64_t SaveState() const { return next_; }
-  void RestoreState(int64_t next) { next_ = next; }
-
-  // Undo support: every site that may advance the counter records it; the
-  // log's first-touch-per-era dedup keeps one entry per watermark span.
-  void CaptureUndo(UndoLog& undo) {
-    undo.CaptureValue(&next_, {"UpdateIdGenerator", "next_", -1});
-  }
   void DescribeState(StateHasher& h) const { h.I64("ids.next", next_); }
 
  private:
+  // The counter is part of the schedule-determined system state the
+  // explorer rewinds.
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, UpdateIdGenerator);
+    SWEEP_STATE(v, next_);
+  }
+
   int64_t next_ = 0;
 };
 
@@ -118,40 +116,37 @@ class DataSource : public SourceSite {
   // Index maintenance + query-path counters for this site.
   StorageStats storage_stats() const override;
 
-  // --- Snapshot/restore (schedule-space explorer) -----------------------
-  // Copies the durable and volatile site state; restoring rewinds the
-  // source to the save point (indexes are rebuilt from the restored
-  // relation — they are a pure cache).
-  class SavedState {
-   public:
-    SavedState() = default;
+  // --- Fingerprint (schedule-space explorer) ----------------------------
 
-   private:
-    friend class DataSource;
-    Relation relation;
-    StorageStats query_stats;
-    StateLog log;
-    int64_t queries_answered = 0;
-    bool crashed = false;
-    int64_t updates_replayed = 0;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
-
-  // Installs the undo log the mutation entry points capture into (see
-  // common/undo.h). Null detaches.
-  void AttachUndo(UndoLog* undo) { undo_ = undo; }
-
-  // Absorbs the SaveState member set into `h` (sorted relation iteration;
-  // identical in exact and canonical mode).
+  // Absorbs the VisitState member set into `h` (sorted relation
+  // iteration; identical in exact and canonical mode).
   void DescribeState(StateHasher& h) const;
 
  private:
-  // Records the SaveState member set into the attached undo log; called
-  // at the top of every mutation entry point.
-  void CaptureUndo();
+  // store_'s indexes are a pure cache over the relation: it restores
+  // through RestoreRelation, which rebuilds them, and diffs as one atom.
+  struct StoreHook {
+    Relation Save(const IndexedRelation& store) const {
+      return store.relation();
+    }
+    void Restore(IndexedRelation& store, const Relation& saved) const {
+      store.RestoreRelation(saved);
+    }
+  };
+
+  // The declared state (common/snapshot.h): the durable and volatile site
+  // state.
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, DataSource);
+    SWEEP_STATE_HOOK(v, store_, StoreHook{});
+    SWEEP_STATE(v, query_stats_);
+    SWEEP_STATE(v, log_);
+    SWEEP_STATE(v, queries_answered_);
+    SWEEP_STATE(v, crashed_);
+    SWEEP_STATE(v, updates_replayed_);
+  }
 
   SWEEP_SNAPSHOT_EXEMPT("site identity, fixed at construction")
   int site_id_;
@@ -167,8 +162,8 @@ class DataSource : public SourceSite {
   Network* network_;
   SWEEP_SNAPSHOT_EXEMPT("topology, fixed at construction")
   std::vector<int> warehouse_sites_;
-  SWEEP_SNAPSHOT_EXEMPT("shared id generator, snapshotted once by "
-                        "ControlledSystem rather than per site")
+  SWEEP_SNAPSHOT_EXEMPT("shared id generator, declared once and visited "
+                        "by ControlledSystem rather than per site")
   UpdateIdGenerator* ids_;
   SWEEP_SNAPSHOT_EXEMPT("storage tuning knobs, fixed at construction")
   SourceStorageOptions storage_options_;
@@ -177,10 +172,6 @@ class DataSource : public SourceSite {
   int64_t queries_answered_ = 0;
   bool crashed_ = false;
   int64_t updates_replayed_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
-  UndoLog* undo_ = nullptr;
 };
 
 }  // namespace sweepmv

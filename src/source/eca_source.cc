@@ -24,16 +24,6 @@ EcaSource::EcaSource(int site_id, std::vector<Relation> initial_relations,
   }
 }
 
-void EcaSource::CaptureUndo() {
-  if (undo_ == nullptr) return;
-  const int s = site_id_;
-  ids_->CaptureUndo(*undo_);
-  undo_->CaptureValue(&relations_, {"EcaSource", "relations_", s});
-  undo_->CaptureValue(&logs_, {"EcaSource", "logs_", s});
-  undo_->CaptureValue(&queries_answered_,
-                      {"EcaSource", "queries_answered_", s});
-}
-
 void EcaSource::DescribeState(StateHasher& h) const {
   h.I64("eca.site", site_id_);
   h.U64("eca.relations", relations_.size());
@@ -48,7 +38,6 @@ void EcaSource::DescribeState(StateHasher& h) const {
 
 int64_t EcaSource::ApplyTransaction(int relation_index,
                                     const std::vector<UpdateOp>& ops) {
-  CaptureUndo();
   SWEEP_CHECK(relation_index >= 0 &&
               relation_index < view_->num_relations());
   Relation delta = OpsToDelta(view_->rel_schema(relation_index), ops);
@@ -76,7 +65,6 @@ int64_t EcaSource::ApplyTransaction(int relation_index,
 }
 
 void EcaSource::OnMessage(int from, Message msg) {
-  CaptureUndo();
   if (auto* query = std::get_if<EcaQueryRequest>(&msg)) {
     Relation result(view_->joined_schema());
     for (const EcaTerm& term : query->terms) {
@@ -128,20 +116,6 @@ const StateLog& EcaSource::log(int relation_index) const {
   SWEEP_CHECK(relation_index >= 0 &&
               relation_index < static_cast<int>(logs_.size()));
   return logs_[static_cast<size_t>(relation_index)];
-}
-
-EcaSource::SavedState EcaSource::SaveState() const {
-  SavedState state;
-  state.relations = relations_;
-  state.logs = logs_;
-  state.queries_answered = queries_answered_;
-  return state;
-}
-
-void EcaSource::RestoreState(const SavedState& state) {
-  relations_ = state.relations;
-  logs_ = state.logs;
-  queries_answered_ = state.queries_answered;
 }
 
 }  // namespace sweepmv

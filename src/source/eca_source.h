@@ -16,7 +16,6 @@
 
 #include "common/fingerprint.h"
 #include "common/snapshot.h"
-#include "common/undo.h"
 #include "relational/relation.h"
 #include "relational/view_def.h"
 #include "sim/network.h"
@@ -52,34 +51,26 @@ class EcaSource : public SourceSite {
     return relation(relation_index);
   }
 
+  int site_id() const { return site_id_; }
   const Relation& relation(int relation_index) const;
   const StateLog& log(int relation_index) const;
   int64_t queries_answered() const { return queries_answered_; }
 
-  // --- Snapshot/restore (schedule-space explorer) -----------------------
-  class SavedState {
-   public:
-    SavedState() = default;
-
-   private:
-    friend class EcaSource;
-    std::vector<Relation> relations;
-    std::vector<StateLog> logs;
-    int64_t queries_answered = 0;
-  };
-  SavedState SaveState() const;
-  void RestoreState(const SavedState& state);
-
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
-  void AttachUndo(UndoLog* undo) { undo_ = undo; }
-  // Absorbs the SaveState member set into `h` (sorted relation iteration;
-  // identical in exact and canonical mode).
+  // --- Fingerprint (schedule-space explorer) ----------------------------
+  // Absorbs the VisitState member set into `h` (sorted relation
+  // iteration; identical in exact and canonical mode).
   void DescribeState(StateHasher& h) const;
 
  private:
-  // Records the SaveState member set into the attached undo log; called
-  // at the top of every mutation entry point.
-  void CaptureUndo();
+  // The declared state (common/snapshot.h).
+  friend class StateVisitor;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE_CLASS(v, EcaSource);
+    SWEEP_STATE(v, relations_);
+    SWEEP_STATE(v, logs_);
+    SWEEP_STATE(v, queries_answered_);
+  }
 
   // Evaluates one signed term: positions fixed by the term use its deltas,
   // the rest use this site's current base relations. Result spans the full
@@ -98,15 +89,11 @@ class EcaSource : public SourceSite {
   SWEEP_SNAPSHOT_EXEMPT("destination site id — topology, fixed at "
                         "construction")
   int warehouse_site_;
-  SWEEP_SNAPSHOT_EXEMPT("shared id generator, snapshotted once by "
-                        "ControlledSystem rather than per site")
+  SWEEP_SNAPSHOT_EXEMPT("shared id generator, declared once and visited "
+                        "by ControlledSystem rather than per site")
   UpdateIdGenerator* ids_;
   std::vector<StateLog> logs_;
   int64_t queries_answered_ = 0;
-  SWEEP_SNAPSHOT_EXEMPT(
-      "wiring, not state: the explorer owns the undo log and manages its "
-      "watermarks across backtracks")
-  UndoLog* undo_ = nullptr;
 };
 
 }  // namespace sweepmv

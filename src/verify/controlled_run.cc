@@ -182,14 +182,6 @@ bool ControlledSystem::WarehouseIdle() const {
   return true;
 }
 
-void ControlledSystem::AttachUndo(UndoLog* undo) {
-  sim_.AttachUndo(undo);
-  network_.AttachUndo(undo);
-  for (auto& source : sources_) source->AttachUndo(undo);
-  if (eca_source_ != nullptr) eca_source_->AttachUndo(undo);
-  for (auto& warehouse : warehouses_) warehouse->AttachUndo(undo);
-}
-
 bool ControlledSystem::HashState(Fp128* fp) const {
   StateHasher h;
   const bool hashable = sim_.DescribeState(h, /*exact=*/false);
@@ -227,42 +219,37 @@ std::vector<const StateLog*> ControlledSystem::SourceLogs() const {
   return logs;
 }
 
+void ControlledSystem::VisitState(StateVisitor& v) {
+  v.Visit(sim_, -1);
+  v.Visit(network_, -1);
+  v.Visit(ids_, -1);
+  for (auto& source : sources_) v.Visit(*source, source->site_id());
+  if (eca_source_ != nullptr) v.Visit(*eca_source_, eca_source_->site_id());
+  for (auto& warehouse : warehouses_) warehouse->VisitFullState(v);
+}
+
+// Saving and diffing only read the members; the walk is non-const so that
+// one declaration also serves restore.
 ControlledSystem::SavedState ControlledSystem::SaveState() const {
   SavedState state;
-  state.sim = sim_.SaveState();
-  state.network = network_.SaveState();
-  state.next_update_id = ids_.SaveState();
-  state.sources.reserve(sources_.size());
-  for (const auto& source : sources_) {
-    state.sources.push_back(source->SaveState());
-  }
-  if (eca_source_ != nullptr) {
-    state.eca_source = std::make_unique<EcaSource::SavedState>(
-        eca_source_->SaveState());
-  }
-  state.warehouses.reserve(warehouses_.size());
-  for (const auto& warehouse : warehouses_) {
-    state.warehouses.push_back(warehouse->SaveState());
-  }
+  StateVisitor saver = StateVisitor::Saver(&state);
+  const_cast<ControlledSystem*>(this)->VisitState(saver);
   return state;
 }
 
 void ControlledSystem::RestoreState(const SavedState& state) {
-  sim_.RestoreState(state.sim);
-  network_.RestoreState(state.network);
-  ids_.RestoreState(state.next_update_id);
-  SWEEP_CHECK(state.sources.size() == sources_.size());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    sources_[i]->RestoreState(state.sources[i]);
-  }
-  if (eca_source_ != nullptr) {
-    SWEEP_CHECK(state.eca_source != nullptr);
-    eca_source_->RestoreState(*state.eca_source);
-  }
-  SWEEP_CHECK(state.warehouses.size() == warehouses_.size());
-  for (size_t i = 0; i < warehouses_.size(); ++i) {
-    warehouses_[i]->RestoreState(state.warehouses[i]);
-  }
+  StateVisitor restorer = StateVisitor::Restorer(state);
+  VisitState(restorer);
+  restorer.Finish();
+}
+
+std::vector<EffectAtom> ControlledSystem::ChangedSince(
+    const SavedState& state) const {
+  std::vector<EffectAtom> changed;
+  StateVisitor differ = StateVisitor::Differ(state, &changed);
+  const_cast<ControlledSystem*>(this)->VisitState(differ);
+  differ.Finish();
+  return changed;
 }
 
 ConsistencyReport ControlledSystem::Check() const {

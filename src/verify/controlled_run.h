@@ -20,7 +20,6 @@
 #include "common/fingerprint.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
-#include "common/undo.h"
 #include "consistency/checker.h"
 #include "core/factory.h"
 #include "core/warehouse.h"
@@ -131,13 +130,7 @@ class ControlledSystem {
   const ViewDef& view_def() const { return view_; }
   std::vector<const StateLog*> SourceLogs() const;
 
-  // --- Undo log + fingerprint (schedule-space explorer) -----------------
-
-  // Installs `undo` into every component; from then on each controlled
-  // step's mutations are recorded and the explorer can rewind by popping
-  // entries to a watermark instead of restoring a full snapshot. Null
-  // detaches.
-  void AttachUndo(UndoLog* undo);
+  // --- Fingerprint (schedule-space explorer) ----------------------------
 
   // Canonical 128-bit fingerprint of the live system: warehouse views and
   // algorithm state, durable stores, source relations and logs, network
@@ -149,35 +142,33 @@ class ControlledSystem {
   bool HashState(Fp128* fp) const;
 
   // Exact-mode, human-readable serialization of the same state (absolute
-  // event sequence numbers and clock included): the byte string the undo
-  // round-trip oracle compares against SaveState/RestoreState.
+  // event sequence numbers and clock included): the byte string the
+  // snapshot round-trip tests compare across SaveState/RestoreState.
   std::string CanonicalDebugDump() const;
 
   // --- Snapshot/restore (prefix-sharing exploration) --------------------
   //
-  // Captures every piece of mutable state in the closed system: the
-  // simulator's pending-event set and clock, the network's channels and
-  // RNG forks, the update-id generator, each source, and the warehouse
-  // (including its algorithm-specific half). Restoring rewinds *this*
-  // system to the save point in place — the wired sites and their
-  // closures stay valid because they only capture pointers to objects
-  // this system owns. The explorer uses this to backtrack to a decision
-  // point without re-constructing the system and replaying the prefix.
-  class SavedState {
-   public:
-    SavedState() = default;
+  // Walks every piece of mutable state in the closed system, in one fixed
+  // order: the simulator's pending-event set and clock, the network's
+  // channels and RNG roots, the update-id generator, each source, and
+  // each warehouse (including its algorithm-specific half). Each
+  // component's members come from its one declaration
+  // (common/snapshot.h). SaveState, RestoreState and ChangedSince are
+  // this walk under a saving, restoring or diffing visitor.
+  void VisitState(StateVisitor& v);
 
-   private:
-    friend class ControlledSystem;
-    Simulator::SavedState sim;
-    Network::SavedState network;
-    int64_t next_update_id = 0;
-    std::vector<DataSource::SavedState> sources;
-    std::unique_ptr<EcaSource::SavedState> eca_source;
-    std::vector<Warehouse::SavedState> warehouses;
-  };
+  // Restoring rewinds *this* system to the save point in place — the
+  // wired sites and their closures stay valid because they only capture
+  // pointers to objects this system owns. The explorer uses this to
+  // backtrack to a decision point without re-constructing the system and
+  // replaying the prefix.
+  using SavedState = StateSnapshot;
   SavedState SaveState() const;
   void RestoreState(const SavedState& state);
+
+  // Every declared member that differs from `state`, as effect atoms:
+  // the write set the effect oracle checks after each explored step.
+  std::vector<EffectAtom> ChangedSince(const SavedState& state) const;
 
  private:
   SWEEP_SNAPSHOT_EXEMPT("scenario's view definition, immutable for the "

@@ -48,9 +48,10 @@ std::vector<std::string> SplitAtoms(const char* column) {
   return out;
 }
 
-const verify::HandlerEffectsRow* FindTableRow(const char* handler_class,
-                                              const char* kind) {
-  for (const verify::HandlerEffectsRow& row : verify::kHandlerEffects) {
+const verify::HandlerEffectsRow* FindTableRow(
+    std::span<const verify::HandlerEffectsRow> table,
+    const char* handler_class, const char* kind) {
+  for (const verify::HandlerEffectsRow& row : table) {
     if (std::strcmp(row.handler_class, handler_class) == 0 &&
         std::strcmp(row.kind, kind) == 0) {
       return &row;
@@ -90,11 +91,13 @@ int EffectsIndex::Intern(const std::string& cls, const std::string& member,
   return id;
 }
 
-void EffectsIndex::AddRow(const Key& key, const char* handler_class,
+void EffectsIndex::AddRow(std::span<const verify::HandlerEffectsRow> table,
+                          const Key& key, const char* handler_class,
                           const char* kind, int self_site,
                           bool drops_enabled) {
   Row resolved;
-  const verify::HandlerEffectsRow* row = FindTableRow(handler_class, kind);
+  const verify::HandlerEffectsRow* row =
+      FindTableRow(table, handler_class, kind);
   if (row == nullptr || !row->bounded) {
     // Unknown or unbounded handler: keep a declining row so lookups are
     // distinguishable from "no handler at this key" (timers).
@@ -121,7 +124,9 @@ void EffectsIndex::AddRow(const Key& key, const char* handler_class,
   rows_.emplace(key, std::move(resolved));
 }
 
-EffectsIndex EffectsIndex::ForScenario(const ControlledScenario& scenario) {
+EffectsIndex EffectsIndex::ForScenario(
+    const ControlledScenario& scenario,
+    std::span<const verify::HandlerEffectsRow> table) {
   EffectsIndex index;
   const bool drops = scenario.max_message_drops > 0;
   index.mixed_internal_ =
@@ -131,33 +136,35 @@ EffectsIndex EffectsIndex::ForScenario(const ControlledScenario& scenario) {
   // Primary warehouse at site 0: delivery handler, plus the controlled
   // crash when the scenario schedules one.
   const char* primary = AlgorithmClassName(scenario.algorithm);
-  index.AddRow(Key{"deliver", 0}, primary, "message", 0, drops);
+  index.AddRow(table, Key{"deliver", 0}, primary, "message", 0, drops);
   if (scenario.warehouse_crashes > 0) {
-    index.AddRow(Key{"crash", 0}, primary, "crash", 0, drops);
+    index.AddRow(table, Key{"crash", 0}, primary, "crash", 0, drops);
   }
 
   // Sources at 1..n (or the single multi-relation ECA source at 1):
   // query deliveries and the transaction stream.
   if (RequiresSingleSource(scenario.algorithm)) {
-    index.AddRow(Key{"deliver", 1}, "EcaSource", "query", 1, drops);
-    index.AddRow(Key{"txn", 1}, "EcaSource", "txn", 1, drops);
+    index.AddRow(table, Key{"deliver", 1}, "EcaSource", "query", 1, drops);
+    index.AddRow(table, Key{"txn", 1}, "EcaSource", "txn", 1, drops);
   } else {
     for (int s = 1; s <= n; ++s) {
-      index.AddRow(Key{"deliver", s}, "DataSource", "query", s, drops);
-      index.AddRow(Key{"txn", s}, "DataSource", "txn", s, drops);
+      index.AddRow(table, Key{"deliver", s}, "DataSource", "query", s,
+                   drops);
+      index.AddRow(table, Key{"txn", s}, "DataSource", "txn", s, drops);
     }
   }
 
   // Extra warehouses past the sources (multi-view deployment).
   for (size_t w = 0; w < scenario.extra_warehouses.size(); ++w) {
     const int site = n + 1 + static_cast<int>(w);
-    index.AddRow(Key{"deliver", site},
+    index.AddRow(table, Key{"deliver", site},
                  AlgorithmClassName(scenario.extra_warehouses[w]), "message",
                  site, drops);
   }
 
   if (scenario.max_message_drops > 0) {
-    index.AddRow(Key{"arm-drop", -1}, "Network", "arm-drop", -1, drops);
+    index.AddRow(table, Key{"arm-drop", -1}, "Network", "arm-drop", -1,
+                 drops);
   }
   return index;
 }
@@ -231,13 +238,6 @@ bool EffectsIndex::CheckObserved(const EventLabel& label,
   const Row* row = RowFor(label);
   if (row == nullptr || !row->bounded) return true;
   for (const EffectAtom& atom : observed) {
-    if (std::strcmp(atom.cls, "<untagged>") == 0) {
-      if (error != nullptr) {
-        *error = "effect oracle: an untagged undo capture changed state "
-                 "the oracle cannot attribute";
-      }
-      return false;
-    }
     // Classes the table never mentions (the Simulator's event queue and
     // clock) are schedule bookkeeping, outside the protocol-state
     // universe the independence argument is about.

@@ -13,7 +13,6 @@
 #include "common/check.h"
 #include "common/fingerprint.h"
 #include "common/str.h"
-#include "common/undo.h"
 #include "verify/pool.h"
 
 namespace sweepmv {
@@ -386,10 +385,6 @@ struct IncrementalDfs {
   std::optional<ControlledSystem> system = std::nullopt;
   ExecutedCounts executed = {};
   std::vector<size_t> path = {};  // root-to-current choice vector
-  // Mutations of every controlled step land here (use_undo); branch nodes
-  // watermark it and siblings rewind by popping — O(changes since the
-  // branch) instead of O(system state).
-  UndoLog undo = {};
 
   // Everything Visit must rewind to re-enter a decision point: the
   // system's full state, the channel counts, nothing else (path is
@@ -509,15 +504,9 @@ struct IncrementalDfs {
     const int64_t ran = system->Run(static_cast<int64_t>(prefix.size()));
     SWEEP_CHECK_MSG(ran == static_cast<int64_t>(prefix.size()),
                     "schedule prefix drained early");
-    // Attach after the replay: the prefix is never backtracked past, so
-    // its mutations need no undo entries.
-    if (core.config.use_undo) system->AttachUndo(&undo);
-    if (core.config.effects_oracle) undo.SetObserve(true);
     path = prefix;
     executed = scheduler->replay_counts();
     Visit(std::move(sleep));
-    core.result.undo_entries += undo.entries_recorded();
-    core.result.undo_rollbacks += undo.rollbacks();
   }
 
   void Visit(std::vector<EventId> sleep) {
@@ -579,11 +568,8 @@ struct IncrementalDfs {
       return;
     }
 
-    // Only branching nodes pay for backtrack state; chains just step
-    // forward. With the undo log attached the default cost is a
-    // watermark; depths on the anchor cadence (and every branch when the
-    // log is off) pay for a full snapshot instead, bounding how much any
-    // single rollback must unwind.
+    // Only branching nodes pay for backtrack state (a full snapshot);
+    // chains just step forward.
     const bool branch = explorable.size() > 1;
 
     // Visited-state lookup, branch nodes only: same fingerprint + same
@@ -618,39 +604,15 @@ struct IncrementalDfs {
     }
     const Baseline base = TakeBaseline(/*scope_monotone=*/insertable);
 
-    const bool undo_active = config.use_undo;
-    const bool anchor =
-        branch && (!undo_active ||
-                   (config.snapshot_anchor_every > 0 &&
-                    path.size() %
-                            static_cast<size_t>(
-                                config.snapshot_anchor_every) ==
-                        0));
-    UndoLog::Mark mark = 0;
     std::optional<Snapshot> snap;
-    ExecutedCounts executed_at_branch;
-    if (branch) {
-      if (undo_active) mark = undo.MarkPoint();
-      if (anchor) {
-        snap.emplace(Snapshot{system->SaveState(), executed});
-        ++result.anchor_snapshots;
-      } else {
-        executed_at_branch = executed;
-      }
-    }
+    if (branch) snap.emplace(Snapshot{system->SaveState(), executed});
 
     std::vector<EventId> done;
     bool first = true;
     for (size_t i : explorable) {
       if (!first) {
-        if (anchor) {
-          system->RestoreState(snap->sys);
-          undo.DiscardTo(mark);
-          executed = snap->executed;
-        } else {
-          undo.RollbackTo(mark);
-          executed = executed_at_branch;
-        }
+        system->RestoreState(snap->sys);
+        executed = snap->executed;
       }
       first = false;
       std::vector<EventId> child_sleep;
@@ -670,20 +632,19 @@ struct IncrementalDfs {
           }
         }
       }
-      // Oracle granularity: one undo era per executed step, so the drain
-      // below observes exactly this step's changes. Extra marks between
-      // the branch watermark and the rollback are harmless — RollbackTo
-      // unwinds across era boundaries.
-      if (config.effects_oracle) undo.MarkPoint();
+      // The oracle diffs every declared member against a save taken just
+      // before the step, so it observes exactly this step's writes.
+      std::optional<ControlledSystem::SavedState> before;
+      if (config.effects_oracle) before.emplace(system->SaveState());
       scheduler->SetNext(i);
       const int64_t ran = system->Run(1);
       SWEEP_CHECK_MSG(ran == 1, "ready event failed to execute");
       if (config.effects_oracle) {
-        const std::vector<EffectAtom> observed = undo.DrainObserved();
         std::string err;
-        SWEEP_CHECK_MSG(
-            config.effects->CheckObserved(ready[i].label, observed, &err),
-            err.c_str());
+        SWEEP_CHECK_MSG(config.effects->CheckObserved(
+                            ready[i].label, system->ChangedSince(*before),
+                            &err),
+                        err.c_str());
       }
       ++executed[ids[i].channel];
       path.push_back(i);
@@ -913,9 +874,6 @@ ExploreResult ExploreParallel(const ExplorerConfig& config) {
     merged.max_ready = std::max(merged.max_ready, r.max_ready);
     merged.worst = std::min(merged.worst, r.worst);
     merged.exhausted = merged.exhausted && r.exhausted;
-    merged.undo_entries += r.undo_entries;
-    merged.undo_rollbacks += r.undo_rollbacks;
-    merged.anchor_snapshots += r.anchor_snapshots;
     merged.dedup_hits += r.dedup_hits;
     merged.dedup_inserts += r.dedup_inserts;
     merged.dedup_unhashable += r.dedup_unhashable;
@@ -962,10 +920,9 @@ ExploreResult ExploreExhaustive(const ExplorerConfig& config) {
   SWEEP_CHECK_MSG(config.share_prefixes || !config.dedup_states,
                   "state dedup requires the prefix-sharing engine");
   SWEEP_CHECK_MSG(!config.effects_oracle ||
-                      (config.effects != nullptr && config.use_undo &&
-                       config.share_prefixes),
-                  "the effect oracle needs an effects index, the undo log "
-                  "and the prefix-sharing engine");
+                      (config.effects != nullptr && config.share_prefixes),
+                  "the effect oracle needs an effects index and the "
+                  "prefix-sharing engine");
   ExploreResult result;
   if (config.threads > 1) {
     result = ExploreParallel(config);

@@ -15,10 +15,12 @@
 //     explored representative.
 //
 //     Two execution engines share the enumeration logic. The default
-//     prefix-sharing engine keeps ONE live system and backtracks by
-//     snapshot/restore (ControlledSystem::SaveState), so each complete
-//     schedule costs roughly one execution — docs/verification.md,
-//     "Scaling exploration". share_prefixes=false selects the original
+//     prefix-sharing engine keeps ONE live system, saves it
+//     (ControlledSystem::SaveState, a copy of every declared member) at
+//     each branch node and restores that copy before each sibling, so
+//     each complete schedule costs roughly one execution —
+//     docs/verification.md, "Scaling exploration". Chain nodes (one
+//     explorable child) save nothing. share_prefixes=false selects the original
 //     stateless engine (every DFS node re-constructs the system and
 //     replays its prefix), kept as the honest baseline the throughput
 //     bench measures the speedup against. threads>1 splits the DFS
@@ -79,17 +81,6 @@ struct ExplorerConfig {
   // The frontier is split into subtree tasks ahead of time and merged in
   // DFS order, so every thread count produces identical results.
   int threads = 1;
-  // Undo-log backtracking (prefix-sharing engine): every controlled step
-  // records the mutations it makes; re-entering a decision point pops
-  // them back to the branch watermark — O(changes since the branch)
-  // instead of O(system state) per backtrack. Full snapshots remain as
-  // periodic safety anchors (below).
-  bool use_undo = true;
-  // Branch depths divisible by this take a full SaveState anchor and
-  // backtrack by restore + discard; all other branches unwind the undo
-  // log. 1 anchors every branch (the pure-snapshot engine); 0 never
-  // anchors. Only meaningful with use_undo.
-  int snapshot_anchor_every = 8;
   // State-space deduplication: fingerprint the system at every DFS node
   // and prune branches reaching an already-classified state, merging the
   // cached subtree's counts so totals match a dedup-off search. Composes
@@ -106,12 +97,12 @@ struct ExplorerConfig {
   // must enumerate. Null = site rule only. The pointer must outlive the
   // exploration and the index must be built for this config's scenario.
   const EffectsIndex* effects = nullptr;
-  // Debug soundness oracle: after every executed step, drain the undo
-  // log's observation probes and assert the set of members that actually
-  // changed is contained in the static effect table's write footprint
-  // for that handler. Catches an under-approximated table on the first
-  // schedule that exercises the missing effect. Requires `effects`,
-  // use_undo and the prefix-sharing engine.
+  // Debug soundness oracle: save the system before every executed step,
+  // diff every declared member against that save afterwards, and assert
+  // the set of members that actually changed is contained in the static
+  // effect table's write footprint for that handler. Catches an
+  // under-approximated table on the first schedule that exercises the
+  // missing effect. Requires `effects` and the prefix-sharing engine.
   bool effects_oracle = false;
   // Parallel exploration falls back to the sequential engine when the
   // initial frontier split yields fewer runnable subtree tasks than this
@@ -160,13 +151,6 @@ struct ExploreResult {
   // Weakest level any schedule reached (kComplete when nothing ran).
   ConsistencyLevel worst = ConsistencyLevel::kComplete;
   std::optional<Counterexample> counterexample;
-  // --- Undo-log backtracking (use_undo) ---
-  // Undo entries recorded across the search, watermark rollbacks taken,
-  // and full snapshot anchors paid. entries/rollbacks is the mean
-  // changes-per-backtrack the bench reports.
-  int64_t undo_entries = 0;
-  int64_t undo_rollbacks = 0;
-  int64_t anchor_snapshots = 0;
   // --- State-space dedup (dedup_states) ---
   // Subtrees pruned by a visited-state hit, completed subtrees inserted,
   // and nodes skipped because a pending event had no content digest

@@ -12,10 +12,15 @@
 //     does not (the fault-free worked example, whose only dependent
 //     pairs are same-channel);
 //   * the effect oracle — observed write set ⊆ static write footprint,
-//     checked after every executed step — passes on every explored
-//     schedule of the acceptance scenarios.
+//     checked after every executed step by diffing every declared member
+//     — passes on every explored schedule of the acceptance scenarios,
+//     and aborts once the table is missing a write the run performs.
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "verify/effects.h"
 #include "verify/explorer.h"
@@ -185,7 +190,7 @@ TEST(EffectsOracleTest, PassesOnGeneratedMultiViewSchedules) {
   ExplorerConfig config = RefinedConfig(
       std::move(scenario), ConsistencyLevel::kStrong, &index,
       /*oracle=*/true);
-  // The oracle drains observation probes after every step; cap the
+  // The oracle saves and diffs the system around every step; cap the
   // schedule budget so the test stays seconds, not minutes. Every
   // schedule that does run is fully checked.
   config.max_schedules = 2'000;
@@ -195,16 +200,50 @@ TEST(EffectsOracleTest, PassesOnGeneratedMultiViewSchedules) {
   EXPECT_GT(result.refined_grants, 0);
 }
 
-TEST(EffectsOracleDeathTest, RequiresTheUndoEngine) {
+TEST(EffectsOracleDeathTest, RequiresAnIndexAndPrefixSharing) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ControlledScenario scenario = PaperExampleScenario(Algorithm::kSweep);
   EffectsIndex index = EffectsIndex::ForScenario(scenario);
+  ExplorerConfig no_index = RefinedConfig(
+      scenario, ConsistencyLevel::kComplete, nullptr, /*oracle=*/true);
+  EXPECT_DEATH(ExploreExhaustive(no_index),
+               "the effect oracle needs an effects index");
+  ExplorerConfig stateless = RefinedConfig(
+      scenario, ConsistencyLevel::kComplete, &index, /*oracle=*/true);
+  stateless.share_prefixes = false;
+  EXPECT_DEATH(ExploreExhaustive(stateless),
+               "the effect oracle needs an effects index");
+}
+
+TEST(EffectsOracleDeathTest, CatchesAMissingWatermarkWrite) {
+  // An update arrival advances Warehouse::update_watermarks_ through an
+  // alias (`int64_t& watermark = update_watermarks_[...]`) — the write
+  // the static pass once missed. Drop that atom from SWEEP's message row
+  // and the oracle must abort on the worked example, naming the member.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string atom = "Warehouse::update_watermarks_@self";
+  std::vector<verify::HandlerEffectsRow> table(
+      std::begin(verify::kHandlerEffects), std::end(verify::kHandlerEffects));
+  std::string writes;
+  for (verify::HandlerEffectsRow& row : table) {
+    if (std::string(row.handler_class) != "SweepWarehouse" ||
+        std::string(row.kind) != "message") {
+      continue;
+    }
+    writes = row.writes;
+    const size_t at = writes.find(atom);
+    ASSERT_NE(at, std::string::npos);
+    writes.erase(at, atom.size() + (at + atom.size() < writes.size()));
+    row.writes = writes.c_str();
+  }
+  ASSERT_FALSE(writes.empty());
+  ControlledScenario scenario = PaperExampleScenario(Algorithm::kSweep);
+  EffectsIndex index = EffectsIndex::ForScenario(scenario, table);
   ExplorerConfig config = RefinedConfig(
       std::move(scenario), ConsistencyLevel::kComplete, &index,
       /*oracle=*/true);
-  config.use_undo = false;
   EXPECT_DEATH(ExploreExhaustive(config),
-               "the effect oracle needs an effects index");
+               "changed Warehouse::update_watermarks_@0");
 }
 
 }  // namespace

@@ -5,32 +5,20 @@ check registry; the v2 dataflow checks live beside it and are dispatched
 from run_checks() here: determinism-taint (taint.py, nondeterminism
 source->sink dataflow), protocol-guard (guards.py, epoch filtering /
 send-handle pairing / stride stamping) and checkpoint-coverage (ckpt.py,
-durable serializer vs in-sim snapshot parity, ported from
+durable serializer vs state declaration parity, ported from
 tools/lint_invariants.py onto the shared member model).
 
 snapshot-completeness
-    Every class exposing a SaveState/RestoreState (or SaveAlgState/
-    RestoreAlgState) pair must account for every non-static data member:
-    captured — its identifier appears in BOTH the save and the restore
-    body — or annotated SWEEP_SNAPSHOT_EXEMPT("why") with a rationale.
-    A member captured on one side only, an exemption on a member that is
-    in fact captured, and an unpaired save/restore are each their own
-    diagnostic. This is the machine-checked form of the invariant the
-    prefix-sharing explorer (PR 4) rests on: a restore that silently
-    forgets a member corrupts every verdict downstream of the backtrack.
-
-undo-coverage
-    The snapshot-completeness invariant, extended to the undo-log
-    backtracking engine: in a class that defines a CaptureUndo or
-    CaptureUndoAlgState recorder, every snapshot-captured member must
-    also appear in a recorder body — the undo log can only roll back
-    what was recorded, so a skipped member silently survives rollback
-    with a stale value — or carry SWEEP_UNDO_EXEMPT("why"). A stale
-    undo exemption on a member the recorder does capture, and a bare
-    rationale, are each their own diagnostic. Classes without a
-    recorder are out of scope (they back-track by full snapshot only,
-    e.g. ControlledSystem, which delegates to its components'
-    recorders).
+    Every class that declares its state in a VisitState body
+    (src/common/snapshot.h) must account for every non-static data
+    member: declared — its identifier appears in the VisitState body —
+    or annotated SWEEP_SNAPSHOT_EXEMPT("why") with a rationale. An
+    exemption on a member that is in fact declared is stale, and a bare
+    rationale is its own diagnostic. This is the machine-checked form of
+    the invariant the prefix-sharing explorer rests on: snapshot,
+    restore and diff all derive from the declaration, so a member left
+    out of it survives every backtrack with a stale value and corrupts
+    every verdict downstream.
 
 unordered-iteration
     A range-for over a std::unordered_map/unordered_set whose loop feeds
@@ -79,13 +67,11 @@ from guards import CHECK_GUARD, GUARD_SCOPE, check_protocol_guard
 from taint import CHECK_TAINT, TAINT_SCOPE, check_determinism_taint
 
 CHECK_SNAPSHOT = "snapshot-completeness"
-CHECK_UNDO = "undo-coverage"
 CHECK_UNORDERED = "unordered-iteration"
 CHECK_EVENT_LABEL = "unlabeled-event"
 
 ALL_CHECKS = (
     CHECK_SNAPSHOT,
-    CHECK_UNDO,
     CHECK_UNORDERED,
     CHECK_EVENT_LABEL,
     CHECK_TAINT,
@@ -105,8 +91,7 @@ SINK_FUNCTIONS = frozenset(
     {
         "SaveState",
         "RestoreState",
-        "SaveAlgState",
-        "RestoreAlgState",
+        "VisitState",
         "Fingerprint",
         "ToString",
         "ToDisplayString",
@@ -146,8 +131,6 @@ def run_checks(
     diags: List[Diagnostic] = []
     if CHECK_SNAPSHOT in checks:
         diags.extend(check_snapshot_completeness(model))
-    if CHECK_UNDO in checks:
-        diags.extend(check_undo_coverage(model))
     if CHECK_UNORDERED in checks:
         scope = None if scope_all else UNORDERED_SCOPE
         diags.extend(check_unordered_iteration(model, scope))
@@ -176,37 +159,10 @@ def check_snapshot_completeness(model: Model) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     for name in sorted(model.classes):
         cls = model.classes[name]
-        pairs = cls.snapshot_pairs()
-        if not pairs:
-            continue
-        complete_pairs: List[Tuple[Method, Method, str, str]] = []
-        for save_name, restore_name in pairs:
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                complete_pairs.append((save, restore, save_name, restore_name))
-                continue
-            have, missing = (
-                (save_name, restore_name) if save is not None else
-                (restore_name, save_name)
-            )
-            anchor = save if save is not None else restore
-            if anchor is None:
-                # Both sides only declared (e.g. an interface); the
-                # implementing classes are checked instead.
-                continue
-            diags.append(
-                Diagnostic(
-                    file=anchor.file,
-                    line=anchor.line,
-                    check=CHECK_SNAPSHOT,
-                    message=(
-                        f"class {cls.name} defines {have} but no matching "
-                        f"{missing}; snapshot support must implement both "
-                        "sides"
-                    ),
-                )
-            )
+        declaration = cls.state_declaration()
+        declared = (
+            declaration.identifier_set() if declaration is not None else None
+        )
         for field_name in sorted(cls.fields):
             field = cls.fields[field_name]
             if field.is_static:
@@ -228,24 +184,10 @@ def check_snapshot_completeness(model: Model) -> List[Diagnostic]:
                             ),
                         )
                     )
-            if not complete_pairs:
+            if declared is None:
                 continue
-            in_save = any(
-                field.name in save.identifier_set()
-                for save, _, _, _ in complete_pairs
-            )
-            in_restore = any(
-                field.name in restore.identifier_set()
-                for _, restore, _, _ in complete_pairs
-            )
-            captured = any(
-                field.name in save.identifier_set()
-                and field.name in restore.identifier_set()
-                for save, restore, _, _ in complete_pairs
-            )
-            pair_label = "/".join(complete_pairs[0][2:4])
             if field.exempt_annotated:
-                if captured:
+                if field.name in declared:
                     diags.append(
                         Diagnostic(
                             file=field.file,
@@ -254,29 +196,13 @@ def check_snapshot_completeness(model: Model) -> List[Diagnostic]:
                             message=(
                                 f"class {cls.name}: member '{field.name}' is "
                                 "annotated SWEEP_SNAPSHOT_EXEMPT but is "
-                                f"captured by {pair_label}; remove the stale "
+                                "declared in VisitState; remove the stale "
                                 "exemption"
                             ),
                         )
                     )
                 continue
-            if captured:
-                continue
-            if in_save and not in_restore:
-                diags.append(
-                    Diagnostic(
-                        file=field.file,
-                        line=field.line,
-                        check=CHECK_SNAPSHOT,
-                        message=(
-                            f"class {cls.name}: member '{field.name}' is "
-                            f"saved but never restored by {pair_label}; a "
-                            "backtracked exploration would resume with a "
-                            "stale value"
-                        ),
-                    )
-                )
-            else:
+            if field.name not in declared:
                 diags.append(
                     Diagnostic(
                         file=field.file,
@@ -284,99 +210,12 @@ def check_snapshot_completeness(model: Model) -> List[Diagnostic]:
                         check=CHECK_SNAPSHOT,
                         message=(
                             f"class {cls.name}: member '{field.name}' is not "
-                            f"captured by {pair_label}; capture it or "
-                            "annotate it SWEEP_SNAPSHOT_EXEMPT(\"why\") if "
-                            "it is deliberately outside the snapshot"
+                            "declared in VisitState; declare it or annotate "
+                            "it SWEEP_SNAPSHOT_EXEMPT(\"why\") if it is "
+                            "deliberately outside the snapshot"
                         ),
                     )
                 )
-    return diags
-
-
-
-
-# --- undo-coverage ----------------------------------------------------------
-
-
-def check_undo_coverage(model: Model) -> List[Diagnostic]:
-    """Snapshot-captured members of classes with an undo recorder must be
-    recorded (appear in a CaptureUndo/CaptureUndoAlgState body) or carry
-    SWEEP_UNDO_EXEMPT with a rationale."""
-    diags: List[Diagnostic] = []
-    for name in sorted(model.classes):
-        cls = model.classes[name]
-        recorders = cls.undo_recorders()
-        recorder_ids: set = set()
-        for rec in recorders:
-            recorder_ids |= rec.identifier_set()
-        recorder_label = "/".join(rec.name for rec in recorders)
-        complete_pairs: List[Tuple[Method, Method]] = []
-        for save_name, restore_name in cls.snapshot_pairs():
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                complete_pairs.append((save, restore))
-        for field_name in sorted(cls.fields):
-            field = cls.fields[field_name]
-            if field.is_static:
-                continue
-            if field.undo_exempt_annotated:
-                rationale = field.undo_exempt_rationale or ""
-                if len(rationale.strip()) < MIN_RATIONALE_LEN:
-                    diags.append(
-                        Diagnostic(
-                            file=field.file,
-                            line=field.line,
-                            check=CHECK_UNDO,
-                            message=(
-                                f"class {cls.name}: member '{field.name}' "
-                                "is annotated SWEEP_UNDO_EXEMPT without a "
-                                "rationale (>= "
-                                f"{MIN_RATIONALE_LEN} chars) explaining why "
-                                "rollback may skip it"
-                            ),
-                        )
-                    )
-            if not recorders:
-                continue
-            captured = any(
-                field.name in save.identifier_set()
-                and field.name in restore.identifier_set()
-                for save, restore in complete_pairs
-            )
-            recorded = field.name in recorder_ids
-            if field.undo_exempt_annotated:
-                if recorded:
-                    diags.append(
-                        Diagnostic(
-                            file=field.file,
-                            line=field.line,
-                            check=CHECK_UNDO,
-                            message=(
-                                f"class {cls.name}: member '{field.name}' "
-                                "is annotated SWEEP_UNDO_EXEMPT but is "
-                                f"recorded by {recorder_label}; remove the "
-                                "stale exemption"
-                            ),
-                        )
-                    )
-                continue
-            if not captured or recorded:
-                continue
-            diags.append(
-                Diagnostic(
-                    file=field.file,
-                    line=field.line,
-                    check=CHECK_UNDO,
-                    message=(
-                        f"class {cls.name}: member '{field.name}' is "
-                        "snapshot-captured but never recorded by "
-                        f"{recorder_label}; an undo-log rollback would "
-                        "leave it stale — record it or annotate it "
-                        "SWEEP_UNDO_EXEMPT(\"why\")"
-                    ),
-                )
-            )
     return diags
 
 

@@ -1,22 +1,22 @@
-"""checkpoint-coverage: durable serializer must match the in-sim snapshot.
+"""checkpoint-coverage: durable serializer must match the state declaration.
 
 Ported from tools/lint_invariants.py (which brace-matched function bodies
 with regexes) onto sweeplint's shared member model: both frontends hand
-us the SaveState/SerializeCheckpoint (and SaveAlgState/SerializeAlgState)
-bodies as token streams, so member capture is the same identifier-set
+us the VisitState and SerializeCheckpoint (or SerializeAlgState) bodies
+as token streams, so a declared member is the same identifier-set
 definition snapshot-completeness already uses, and the two tools can no
 longer disagree about what a "member read" is.
 
 Crash recovery rebuilds a warehouse from the durable checkpoint, so the
-serializer must cover exactly the member set the in-sim snapshot
-captures: every `member_` token read by SaveState must be written by
-SerializeCheckpoint, and every member in an algorithm's SaveAlgState by
-its SerializeAlgState (a SaveAlgState with no serializer at all is also
-an error). Members that genuinely must not be checkpointed — the durable
-store itself, recovery instrumentation — are declared in a
+serializer must cover exactly the member set the class declares in
+VisitState: every `member_` token in Warehouse's declaration must be
+written by SerializeCheckpoint, and every member an algorithm declares
+by its SerializeAlgState (a declaration with no serializer at all is
+also an error). Members that genuinely must not be checkpointed — the
+durable store itself, recovery instrumentation — are declared in a
 `// checkpoint-exempt: member_ ... — rationale` comment block directly
-above the serializer. An exemption for a member the snapshot does not
-capture, or one the serializer writes anyway, is stale and fails.
+above the serializer. An exemption for a member the declaration does not
+name, or one the serializer writes anyway, is stale and fails.
 
 This check uses the checkpoint-exempt block as its suppression grammar,
 not sweeplint:allow — the exemption names *members*, not lines.
@@ -27,18 +27,22 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Set, Tuple
 
-from model import MIN_RATIONALE_LEN, Diagnostic, Method, Model
+from model import (
+    MIN_RATIONALE_LEN,
+    STATE_DECLARATION_METHOD,
+    Diagnostic,
+    Method,
+    Model,
+)
 from tokutil import in_scope
 
 CHECK_CKPT = "checkpoint-coverage"
 CKPT_SCOPE = ("src/core/", "src/shard/")
 
-# Snapshot capture <-> durable serializer pairs: whatever the left-hand
-# body reads must reach the right-hand one's byte stream.
-CHECKPOINT_PAIRS = (
-    ("SaveState", "SerializeCheckpoint"),
-    ("SaveAlgState", "SerializeAlgState"),
-)
+# The durable serializers a declaring class may define: Warehouse writes
+# its own members in SerializeCheckpoint, each algorithm in
+# SerializeAlgState. Whatever VisitState declares must reach the bytes.
+SERIALIZERS = ("SerializeCheckpoint", "SerializeAlgState")
 
 # Warehouse members are lowercase snake_case with a trailing underscore.
 _MEMBER_TOKEN = re.compile(r"[a-z][a-z0-9_]*_")
@@ -90,86 +94,87 @@ def check_checkpoint_coverage(
     model: Model, scope: Optional[Tuple[str, ...]]
 ) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
+    save_name = STATE_DECLARATION_METHOD
     for name in sorted(model.classes):
         cls = model.classes[name]
-        for save_name, ser_name in CHECKPOINT_PAIRS:
-            save = cls.methods.get(save_name)
-            if save is None or not save.file.endswith(".cc"):
-                continue
-            if not in_scope(save.file, scope):
-                continue
-            save_members = _member_tokens(save)
-            if not save_members:
-                continue  # the base-class "not implemented" stub
-            ser = cls.methods.get(ser_name)
-            if ser is None:
-                diags.append(
-                    Diagnostic(
-                        file=save.file,
-                        line=save.line,
-                        check=CHECK_CKPT,
-                        message=(
-                            f"class {cls.name}: {save_name} snapshots "
-                            f"state but no {ser_name} is defined; none of "
-                            "it reaches the durable checkpoint crash "
-                            "recovery restores from"
-                        ),
-                    )
+        save = cls.state_declaration()
+        if save is None or not in_scope(save.file, scope):
+            continue
+        save_members = _member_tokens(save)
+        if not save_members:
+            continue
+        ser = next(
+            (cls.methods[n] for n in SERIALIZERS if n in cls.methods), None
+        )
+        if ser is None:
+            diags.append(
+                Diagnostic(
+                    file=save.file,
+                    line=save.line,
+                    check=CHECK_CKPT,
+                    message=(
+                        f"class {cls.name}: {save_name} declares state but "
+                        "neither SerializeCheckpoint nor SerializeAlgState "
+                        "is defined; none of it reaches the durable "
+                        "checkpoint crash recovery restores from"
+                    ),
                 )
-                continue
-            ser_members = _member_tokens(ser)
-            exempt, block_line, block_err = _exempt_block(
-                model, ser.file, ser.line
             )
-            if block_err:
-                diags.append(
-                    Diagnostic(
-                        file=ser.file,
-                        line=block_line,
-                        check=CHECK_CKPT,
-                        message=block_err,
-                    )
+            continue
+        ser_name = ser.name
+        ser_members = _member_tokens(ser)
+        exempt, block_line, block_err = _exempt_block(
+            model, ser.file, ser.line
+        )
+        if block_err:
+            diags.append(
+                Diagnostic(
+                    file=ser.file,
+                    line=block_line,
+                    check=CHECK_CKPT,
+                    message=block_err,
                 )
-            for member in sorted(save_members - ser_members - exempt):
-                diags.append(
-                    Diagnostic(
-                        file=save.file,
-                        line=save.line,
-                        check=CHECK_CKPT,
-                        message=(
-                            f"class {cls.name}: '{member}' is captured by "
-                            f"{save_name} but never written by {ser_name}; "
-                            "crash recovery would restore less state than "
-                            "an in-sim snapshot restore — serialize it or "
-                            "list it in the checkpoint-exempt block with a "
-                            "rationale"
-                        ),
-                    )
+            )
+        for member in sorted(save_members - ser_members - exempt):
+            diags.append(
+                Diagnostic(
+                    file=save.file,
+                    line=save.line,
+                    check=CHECK_CKPT,
+                    message=(
+                        f"class {cls.name}: '{member}' is declared in "
+                        f"{save_name} but never written by {ser_name}; "
+                        "crash recovery would restore less state than "
+                        "an in-sim snapshot restore — serialize it or "
+                        "list it in the checkpoint-exempt block with a "
+                        "rationale"
+                    ),
                 )
-            for member in sorted(exempt - save_members):
-                diags.append(
-                    Diagnostic(
-                        file=ser.file,
-                        line=block_line,
-                        check=CHECK_CKPT,
-                        message=(
-                            f"stale exemption: {save_name} does not "
-                            f"capture '{member}' — delete it from the "
-                            "checkpoint-exempt block"
-                        ),
-                    )
+            )
+        for member in sorted(exempt - save_members):
+            diags.append(
+                Diagnostic(
+                    file=ser.file,
+                    line=block_line,
+                    check=CHECK_CKPT,
+                    message=(
+                        f"stale exemption: {save_name} does not "
+                        f"declare '{member}' — delete it from the "
+                        "checkpoint-exempt block"
+                    ),
                 )
-            for member in sorted(exempt & ser_members):
-                diags.append(
-                    Diagnostic(
-                        file=ser.file,
-                        line=block_line,
-                        check=CHECK_CKPT,
-                        message=(
-                            f"stale exemption: {ser_name} writes "
-                            f"'{member}' anyway — delete it from the "
-                            "checkpoint-exempt block"
-                        ),
-                    )
+            )
+        for member in sorted(exempt & ser_members):
+            diags.append(
+                Diagnostic(
+                    file=ser.file,
+                    line=block_line,
+                    check=CHECK_CKPT,
+                    message=(
+                        f"stale exemption: {ser_name} writes "
+                        f"'{member}' anyway — delete it from the "
+                        "checkpoint-exempt block"
+                    ),
                 )
+            )
     return diags

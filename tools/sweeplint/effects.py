@@ -90,12 +90,9 @@ EFFECTS_SCOPE = ("src/",)
 _PERSISTENT_BASES = ("Warehouse", "SourceSite")
 _PERSISTENT_EXTRA = ("Network", "UpdateIdGenerator", "ShardRouter")
 
-# Methods whose bodies are undo/describe instrumentation: they mention
-# (take the address of) every member by design and must not be scanned
-# as effects.
-_INSTRUMENTATION_METHODS = frozenset(
-    {"CaptureUndo", "CaptureUndoAlgState", "DescribeState"}
-)
+# Methods whose bodies are state-declaration/describe instrumentation:
+# they mention every member by design and must not be scanned as effects.
+_INSTRUMENTATION_METHODS = frozenset({"VisitState", "DescribeState"})
 
 # Container/object methods that cannot mutate their receiver. A member
 # receiving any call outside this set is conservatively written.

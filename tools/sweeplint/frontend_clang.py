@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from model import (
     ALLOW_MARKER,
     EXEMPT_ANNOTATION_PREFIX,
+    STATE_DECLARATION_METHOD,
     ClassInfo,
     Field,
     Method,
@@ -161,23 +162,37 @@ def _tokens_of(cursor) -> List[Tuple[str, int]]:
     return toks
 
 
-def _exemption_of(
-    cursor,
-) -> Tuple[bool, Optional[str], bool, Optional[str]]:
-    """(snapshot_annotated, snapshot_why, undo_annotated, undo_why)."""
-    snap_annotated, snap_why = False, None
-    undo_annotated, undo_why = False, None
+def _exemption_of(cursor) -> Tuple[bool, Optional[str]]:
+    """(annotated, why) from a SWEEP_SNAPSHOT_EXEMPT annotate attribute."""
     for child in cursor.get_children():
         if child.kind != cindex.CursorKind.ANNOTATE_ATTR:
             continue
         text = child.spelling or child.displayname or ""
         if text.startswith(EXEMPT_ANNOTATION_PREFIX):
-            snap_annotated = True
-            snap_why = text[len(EXEMPT_ANNOTATION_PREFIX):]
-        elif text.startswith(UNDO_EXEMPT_ANNOTATION_PREFIX):
-            undo_annotated = True
-            undo_why = text[len(UNDO_EXEMPT_ANNOTATION_PREFIX):]
-    return snap_annotated, snap_why, undo_annotated, undo_why
+            return True, text[len(EXEMPT_ANNOTATION_PREFIX):]
+    return False, None
+
+
+def _is_state_declaration(cursor) -> bool:
+    """VisitState is a member function template (its visitor type is the
+    parameter); it is the one template body the model records, so both
+    frontends see the same set of method bodies."""
+    return (
+        cursor.kind == cindex.CursorKind.FUNCTION_TEMPLATE
+        and cursor.spelling == STATE_DECLARATION_METHOD
+    )
+
+
+def _param_names(cursor) -> List[str]:
+    # get_arguments() yields nothing for a function template; its
+    # parameters are PARM_DECL children instead.
+    if cursor.kind == cindex.CursorKind.FUNCTION_TEMPLATE:
+        return [
+            c.spelling or ""
+            for c in cursor.get_children()
+            if c.kind == cindex.CursorKind.PARM_DECL
+        ]
+    return [arg.spelling or "" for arg in cursor.get_arguments()]
 
 
 class _TUWalker:
@@ -230,7 +245,7 @@ class _TUWalker:
                 cindex.CursorKind.CONSTRUCTOR,
                 cindex.CursorKind.DESTRUCTOR,
                 cindex.CursorKind.FUNCTION_DECL,
-            ):
+            ) or _is_state_declaration(child):
                 self._visit_function(child, class_stack)
                 continue
             if kind in (
@@ -264,9 +279,7 @@ class _TUWalker:
                     info.bases.append(text)
                 continue
             if child.kind == cindex.CursorKind.FIELD_DECL:
-                annotated, rationale, undo_annotated, undo_rationale = (
-                    _exemption_of(child)
-                )
+                annotated, rationale = _exemption_of(child)
                 info.fields[child.spelling] = Field(
                     name=child.spelling,
                     type_text=child.type.spelling,
@@ -275,10 +288,10 @@ class _TUWalker:
                     is_static=False,
                     exempt_rationale=rationale,
                     exempt_annotated=annotated,
-                    undo_exempt_rationale=undo_rationale,
-                    undo_exempt_annotated=undo_annotated,
                 )
-            elif child.kind == cindex.CursorKind.CXX_METHOD:
+            elif child.kind == cindex.CursorKind.CXX_METHOD or (
+                _is_state_declaration(child)
+            ):
                 info.declared_methods[child.spelling] = (
                     child.result_type.spelling
                 )
@@ -334,7 +347,7 @@ class _TUWalker:
             line=cursor.location.line,
             return_type=cursor.result_type.spelling,
             tokens=_tokens_of(body),
-            params=[arg.spelling or "" for arg in cursor.get_arguments()],
+            params=_param_names(cursor),
         )
         self.model.bodies.append(method)
         cls = self.model.classes.get(class_name)

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from model import (
     ALLOW_MARKER,
     EXEMPT_MACRO,
-    UNDO_EXEMPT_MACRO,
     ClassInfo,
     Field,
     Method,
@@ -385,9 +384,6 @@ def _capture_alias(stmt: List[Token], parsed: ParsedFile) -> None:
         )
 
 
-_EXEMPT_MACROS = (EXEMPT_MACRO, UNDO_EXEMPT_MACRO)
-
-
 def _one_exempt_end(stmt: List[Token], start: int) -> int:
     """Index just past the exemption macro call opening at `start`."""
     if start + 1 >= len(stmt) or stmt[start + 1][0] != "(":
@@ -404,13 +400,12 @@ def _one_exempt_end(stmt: List[Token], start: int) -> int:
 
 
 def _exempt_prefix_end(stmt: List[Token]) -> int:
-    """Index just past the leading run of SWEEP_SNAPSHOT_EXEMPT(...) /
-    SWEEP_UNDO_EXEMPT(...) calls (either order, both allowed), or 0.
+    """Index just past a leading SWEEP_SNAPSHOT_EXEMPT(...) call, or 0.
 
-    The macros' own parentheses must not make the statement classifier
+    The macro's own parentheses must not make the statement classifier
     take a member declaration for a function declaration."""
     pos = 0
-    while pos < len(stmt) and stmt[pos][0] in _EXEMPT_MACROS:
+    while pos < len(stmt) and stmt[pos][0] == EXEMPT_MACRO:
         pos = _one_exempt_end(stmt, pos)
     return pos
 
@@ -421,25 +416,17 @@ def _member_from_statement(
     """Parses a class-scope statement as a data-member declaration."""
     exempt_rationale: Optional[str] = None
     exempt_annotated = False
-    undo_exempt_rationale: Optional[str] = None
-    undo_exempt_annotated = False
-    # Consume the leading run of exemption macros (either kind, either
-    # order), collecting each macro's string-literal rationale.
-    while stmt and stmt[0][0] in _EXEMPT_MACROS:
-        macro = stmt[0][0]
+    # Consume the exemption macro, collecting its string-literal
+    # rationale.
+    while stmt and stmt[0][0] == EXEMPT_MACRO:
         close = _one_exempt_end(stmt, 0)
         parts = [
             t[0][1:-1]
             for t in stmt[1:close]
             if t[0].startswith('"') and t[0].endswith('"')
         ]
-        rationale = "".join(parts)
-        if macro == EXEMPT_MACRO:
-            exempt_annotated = True
-            exempt_rationale = rationale
-        else:
-            undo_exempt_annotated = True
-            undo_exempt_rationale = rationale
+        exempt_annotated = True
+        exempt_rationale = "".join(parts)
         stmt = stmt[close:]
     if not stmt:
         return None
@@ -470,8 +457,6 @@ def _member_from_statement(
         is_static=is_static,
         exempt_rationale=exempt_rationale,
         exempt_annotated=exempt_annotated,
-        undo_exempt_rationale=undo_exempt_rationale,
-        undo_exempt_annotated=undo_exempt_annotated,
     )
 
 

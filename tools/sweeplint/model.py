@@ -9,9 +9,9 @@ contributes preprocessed, macro-expanded ground truth about declarations,
 while the analysis itself is frontend-independent.
 
 The model is deliberately token-oriented: a method body is a list of
-(spelling, line) tokens, and "class C captures member m_ in SaveState" is
+(spelling, line) tokens, and "class C declares member m_ as state" is
 defined as "the identifier m_ appears in the token stream of C's
-SaveState body". That definition is what the snapshot-completeness check
+VisitState body". That definition is what the snapshot-completeness check
 enforces and what the mutation smoke perturbs, so it is part of the
 tool's contract (documented in docs/verification.md).
 """
@@ -29,11 +29,6 @@ from typing import Dict, List, Optional, Set, Tuple
 EXEMPT_MACRO = "SWEEP_SNAPSHOT_EXEMPT"
 EXEMPT_ANNOTATION_PREFIX = "sweeplint:snapshot-exempt:"
 
-# Undo-coverage twin (same header): exempts a snapshot-captured member
-# from the CaptureUndo/CaptureUndoAlgState recorder requirement.
-UNDO_EXEMPT_MACRO = "SWEEP_UNDO_EXEMPT"
-UNDO_EXEMPT_ANNOTATION_PREFIX = "sweeplint:undo-exempt:"
-
 # Statement-level suppression comment:  // sweeplint:allow <check> <why>
 # on the offending line or in the contiguous comment block above it.
 ALLOW_MARKER = "sweeplint:allow"
@@ -42,17 +37,10 @@ ALLOW_MARKER = "sweeplint:allow"
 # this many characters to count — same bar as tools/lint_invariants.py.
 MIN_RATIONALE_LEN = 8
 
-# Method-name pairs that mark a class as snapshotted. A class exposing
-# either side of a pair participates in snapshot-completeness.
-SNAPSHOT_METHOD_PAIRS = (
-    ("SaveState", "RestoreState"),
-    ("SaveAlgState", "RestoreAlgState"),
-)
-
-# Undo-log recorder method names. A class defining either with a body
-# participates in undo-coverage: its snapshot-captured members must
-# appear in a recorder's token stream or carry SWEEP_UNDO_EXEMPT.
-UNDO_RECORDER_METHODS = ("CaptureUndo", "CaptureUndoAlgState")
+# The one method in which a class declares its state
+# (src/common/snapshot.h). A class defining it with a body participates
+# in snapshot-completeness and checkpoint-coverage.
+STATE_DECLARATION_METHOD = "VisitState"
 
 
 @dataclasses.dataclass
@@ -70,9 +58,6 @@ class Field:
     # rationale — the checks distinguish "annotated badly" from
     # "not annotated").
     exempt_annotated: bool = False
-    # Same pair for SWEEP_UNDO_EXEMPT (undo-coverage check).
-    undo_exempt_rationale: Optional[str] = None
-    undo_exempt_annotated: bool = False
 
 
 @dataclasses.dataclass
@@ -111,26 +96,9 @@ class ClassInfo:
     # Method definitions with bodies, keyed by method name.
     methods: Dict[str, Method] = dataclasses.field(default_factory=dict)
 
-    def undo_recorders(self) -> List["Method"]:
-        """The undo-recorder bodies this class defines, if any."""
-        return [
-            self.methods[name]
-            for name in UNDO_RECORDER_METHODS
-            if name in self.methods
-        ]
-
-    def snapshot_pairs(self) -> List[Tuple[str, str]]:
-        """The (save, restore) method pairs this class exposes, if any."""
-        out = []
-        for save, restore in SNAPSHOT_METHOD_PAIRS:
-            if (
-                save in self.declared_methods
-                or restore in self.declared_methods
-                or save in self.methods
-                or restore in self.methods
-            ):
-                out.append((save, restore))
-        return out
+    def state_declaration(self) -> Optional["Method"]:
+        """The VisitState body this class defines, if any."""
+        return self.methods.get(STATE_DECLARATION_METHOD)
 
 
 @dataclasses.dataclass

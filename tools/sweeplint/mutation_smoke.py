@@ -6,15 +6,11 @@ check. This script perturbs the real tree in memory (file overlays —
 nothing on disk is touched) and asserts sweeplint reports a diagnostic
 naming the mutated construct:
 
-  drop-capture      delete the capture lines of one captured member from
-                    a Save*/Restore* body (brace-aware, so a loop that
-                    copies the member disappears whole);
+  drop-capture      delete one declared member's entry from a
+                    VisitState body (brace-aware, so a loop that walks
+                    the member disappears whole);
   add-member        insert a new unannotated mutable member into a
-                    snapshotted class;
-  drop-undo-hook    delete one covered member's lines from a CaptureUndo
-                    / CaptureUndoAlgState body — the member is still
-                    snapshot-captured, so undo-coverage must flag the
-                    rollback gap the recorder just grew;
+                    class that declares its state;
   drop-epoch-guard  delete one `filter_stale_epochs` if-block from the
                     Warehouse::OnMessage dispatch — every derived
                     handler of that message type must be flagged as able
@@ -34,7 +30,7 @@ naming the mutated construct:
                     reconstruct;
   hide-write        insert a direct member write (`member_ = member_;`)
                     into an event-handler dispatch body, bypassing every
-                    capture helper — no lint diagnostic fires; the catch
+                    helper — no lint diagnostic fires; the catch
                     is the generated effect table (the exact drift
                     gen_effects.py --check gates in CI): the member must
                     migrate into the handler row's write column, or the
@@ -43,8 +39,8 @@ naming the mutated construct:
 
 --all sweeps every eligible target of every mode (CI); --seed N mutates
 one pseudo-randomly chosen target per mode (the quick local smoke).
-Eligible drop-capture targets are captured, non-exempt members whose
-save/restore bodies span more than one line (deleting the only line of a
+Eligible drop-capture targets are declared, non-exempt members whose
+VisitState body spans more than one line (deleting the only line of a
 one-line body would remove the method itself — a different, also-caught
 failure, but not the one this test pins).
 
@@ -76,7 +72,6 @@ PROBE_MEMBER = "sweeplint_mutation_probe_"
 ALL_MODES = (
     "drop-capture",
     "add-member",
-    "drop-undo-hook",
     "drop-epoch-guard",
     "drop-handler",
     "drop-stride",
@@ -252,44 +247,27 @@ def discover_snapshot_targets(
     targets: List[Target] = []
     for class_name in sorted(model.classes):
         cls = model.classes[class_name]
-        pairs = []
-        for save_name, restore_name in cls.snapshot_pairs():
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                pairs.append((save, restore))
-        if not pairs:
+        declaration = cls.state_declaration()
+        if declaration is None or not cls.file.startswith("src/"):
             continue
-        if not cls.file.startswith("src/"):
-            continue
+        declared = declaration.identifier_set()
         field_anchor = None
         for field_name in sorted(cls.fields):
             field = cls.fields[field_name]
             if field.is_static or field.exempt_annotated:
                 continue
-            captured_pairs = [
-                (s, r)
-                for s, r in pairs
-                if field_name in s.identifier_set()
-                and field_name in r.identifier_set()
-            ]
-            if not captured_pairs:
+            if field_name not in declared:
                 continue
             field_anchor = field
-            mutations = []
-            for save, restore in captured_pairs:
-                for method in (save, restore):
-                    mutated = _delete_field_lines(
-                        files[method.file], method, field_name
-                    )
-                    if mutated is not None:
-                        mutations.append((method.file, mutated))
-            if mutations:
+            mutated = _delete_field_lines(
+                files[declaration.file], declaration, field_name
+            )
+            if mutated is not None:
                 targets.append(
                     Target(
                         "drop-capture",
                         f"{class_name}.{field_name}",
-                        mutations,
+                        [(declaration.file, mutated)],
                         (checks_mod.CHECK_SNAPSHOT,),
                         [class_name, field_name],
                     )
@@ -305,70 +283,6 @@ def discover_snapshot_targets(
                     [(field_anchor.file, mutated)],
                     (checks_mod.CHECK_SNAPSHOT,),
                     [class_name, PROBE_MEMBER],
-                )
-            )
-    return targets
-
-
-def discover_undo_targets(
-    files: Dict[str, str], model: Model
-) -> List[Target]:
-    """One target per snapshot-captured, undo-recorded member: deleting
-    its lines from every recorder body that mentions it leaves the member
-    captured but unrecorded, which undo-coverage must flag. Unlike
-    drop-capture, the deletions land in one combined overlay — a member
-    recorded by two recorders stays covered until both mentions go."""
-    targets: List[Target] = []
-    for class_name in sorted(model.classes):
-        cls = model.classes[class_name]
-        recorders = cls.undo_recorders()
-        if not recorders or not cls.file.startswith("src/"):
-            continue
-        pairs = []
-        for save_name, restore_name in cls.snapshot_pairs():
-            save = cls.methods.get(save_name)
-            restore = cls.methods.get(restore_name)
-            if save is not None and restore is not None:
-                pairs.append((save, restore))
-        if not pairs:
-            continue
-        for field_name in sorted(cls.fields):
-            field = cls.fields[field_name]
-            if field.is_static or field.undo_exempt_annotated:
-                continue
-            captured = any(
-                field_name in s.identifier_set()
-                and field_name in r.identifier_set()
-                for s, r in pairs
-            )
-            if not captured:
-                continue
-            mentioning = [
-                rec
-                for rec in recorders
-                if field_name in rec.identifier_set()
-            ]
-            if not mentioning:
-                continue  # already a base-tree finding, not a mutation
-            if len({rec.file for rec in mentioning}) > 1:
-                continue  # would need a multi-file overlay
-            # Later bodies first, so earlier deletions don't shift the
-            # line ranges still to be processed.
-            mentioning.sort(key=lambda rec: rec.line, reverse=True)
-            text: Optional[str] = files[mentioning[0].file]
-            for rec in mentioning:
-                text = _delete_field_lines(text, rec, field_name)
-                if text is None:
-                    break  # one-line body; a different failure mode
-            if text is None:
-                continue
-            targets.append(
-                Target(
-                    "drop-undo-hook",
-                    f"{class_name}.{field_name}",
-                    [(mentioning[0].file, text)],
-                    (checks_mod.CHECK_UNDO,),
-                    [class_name, field_name, "never recorded"],
                 )
             )
     return targets
@@ -596,7 +510,6 @@ def discover_targets(
     root: Path, files: Dict[str, str], model: Model
 ) -> List[Target]:
     targets = discover_snapshot_targets(files, model)
-    targets.extend(discover_undo_targets(files, model))
     targets.extend(discover_epoch_guard_targets(files))
     targets.extend(discover_handler_targets(files, model))
     targets.extend(discover_stride_targets(files))

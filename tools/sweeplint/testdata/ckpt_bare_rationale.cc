@@ -1,28 +1,21 @@
 // checkpoint-coverage, positive: the exempt block's rationale is too
 // short, so it exempts nothing — the missing member is still reported.
+#define SWEEP_STATE(v, member) (v)(#member, member)
+
 struct CheckpointWriter {
   void WriteI64(long v);
 };
 
 struct Warehouse {
-  void SaveState();
-  void RestoreState();
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE(v, applied_);
+    SWEEP_STATE(v, epoch_);
+  }
   void SerializeCheckpoint(CheckpointWriter& w);
   long applied_ = 0;
   long epoch_ = 0;
 };
-
-void Warehouse::SaveState() {
-  long a = applied_;
-  long e = epoch_;
-  (void)a;
-  (void)e;
-}
-
-void Warehouse::RestoreState() {
-  applied_ = 0;
-  epoch_ = 0;
-}
 
 // checkpoint-exempt: epoch_ — meh
 void Warehouse::SerializeCheckpoint(CheckpointWriter& w) {

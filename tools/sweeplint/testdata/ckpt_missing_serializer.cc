@@ -1,16 +1,11 @@
-// checkpoint-coverage, positive: SaveAlgState snapshots algorithm state
-// but the class defines no SerializeAlgState at all.
+// checkpoint-coverage, positive: VisitState declares algorithm state but
+// the class defines no serializer at all.
+#define SWEEP_STATE(v, member) (v)(#member, member)
+
 struct Algorithm {
-  void SaveAlgState();
-  void RestoreAlgState();
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE(v, cursor_);
+  }
   long cursor_ = 0;
 };
-
-void Algorithm::SaveAlgState() {
-  long c = cursor_;
-  (void)c;
-}
-
-void Algorithm::RestoreAlgState() {
-  cursor_ = 0;
-}

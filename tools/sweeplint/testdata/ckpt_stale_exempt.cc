@@ -1,26 +1,21 @@
 // checkpoint-coverage, positive: two stale exemptions — one for a
-// member the snapshot does not capture, one for a member the serializer
+// member the declaration does not name, one for a member the serializer
 // writes anyway.
+#define SWEEP_STATE(v, member) (v)(#member, member)
+
 struct CheckpointWriter {
   void WriteI64(long v);
 };
 
 struct Warehouse {
-  void SaveState();
-  void RestoreState();
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE(v, applied_);
+  }
   void SerializeCheckpoint(CheckpointWriter& w);
   long applied_ = 0;
   long epoch_ = 0;
 };
-
-void Warehouse::SaveState() {
-  long a = applied_;
-  (void)a;
-}
-
-void Warehouse::RestoreState() {
-  applied_ = 0;
-}
 
 // checkpoint-exempt: epoch_, applied_ — neither member needs durable
 // coverage according to this (wrong) block

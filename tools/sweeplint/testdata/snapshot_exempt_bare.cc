@@ -6,17 +6,13 @@
 #else
 #define SWEEP_SNAPSHOT_EXEMPT(why)
 #endif
+#define SWEEP_STATE(v, member) (v)(#member, member)
 
 struct Probe {
-  struct Saved {
-    int counted = 0;
-  };
-  Saved SaveState() const {
-    Saved s;
-    s.counted = counted_;
-    return s;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE(v, counted_);
   }
-  void RestoreState(const Saved& s) { counted_ = s.counted; }
 
   int counted_ = 0;
   SWEEP_SNAPSHOT_EXEMPT("knob")

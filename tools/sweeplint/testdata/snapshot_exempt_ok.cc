@@ -1,4 +1,4 @@
-// snapshot-completeness, suppressed: an uncaptured member carrying the
+// snapshot-completeness, suppressed: an undeclared member carrying the
 // exemption macro with a real rationale. The preprocessor block mirrors
 // src/common/snapshot.h — the micro frontend skips '#' lines and reads
 // the macro spelling; clang expands it to the annotate attribute.
@@ -8,17 +8,13 @@
 #else
 #define SWEEP_SNAPSHOT_EXEMPT(why)
 #endif
+#define SWEEP_STATE(v, member) (v)(#member, member)
 
 struct Probe {
-  struct Saved {
-    int counted = 0;
-  };
-  Saved SaveState() const {
-    Saved s;
-    s.counted = counted_;
-    return s;
+  template <class V>
+  void VisitState(V& v) {
+    SWEEP_STATE(v, counted_);
   }
-  void RestoreState(const Saved& s) { counted_ = s.counted; }
 
   int counted_ = 0;
   SWEEP_SNAPSHOT_EXEMPT("immutable configuration knob")
